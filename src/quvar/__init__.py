@@ -46,7 +46,6 @@ from .gaussian import (
 )
 from .gridsim import (
     AliasingError,
-    ConvergenceError,
     Grid,
     GridError,
     Moments,
@@ -55,7 +54,7 @@ from .gridsim import (
     moments,
     propagate_free,
     propagate_osc,
-    propagate_osc_adaptive,
+    propagate_osc_exact,
     quadrature_norm,
     sample_extremal,
     sample_gaussian,

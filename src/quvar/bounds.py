@@ -62,8 +62,9 @@ def sqrt_uncertainty_excess(vxx0: float, vpp0: float, hbar: float = 1.0) -> floa
 
 
 def _require_time(t: float) -> None:
-    if not t >= 0:
-        raise ValueError(f"t must be >= 0, got {t}")
+    # One chained comparison: rejects negative, NaN and infinite t alike.
+    if not 0 <= t < math.inf:
+        raise ValueError(f"t must be >= 0 and finite, got {t}")
 
 
 def free_mass_bounds(vxx0: float, vpp0: float, m: float, hbar: float, t: float) -> BoundPair:

@@ -36,7 +36,7 @@ from .extremal import (
     squeeze_from_complex_width,
 )
 from .gaussian import DimensionlessOscillator, FreeMass, Oscillator
-from .gridsim import ConvergenceError, GridError, sample_extremal, verify_bounds_oracle, wavefn_csv, Grid
+from .gridsim import GridError, sample_extremal, verify_bounds_oracle, wavefn_csv, Grid
 from .ozawa import ConfigError, OzawaConfig, check_regime, run_protocol
 
 EXIT_OK = 0
@@ -88,8 +88,8 @@ def _sign_value(sign: str) -> int:
 
 
 def _cmd_bounds(args) -> int:
-    if args.t_max <= 0:
-        print("--t-max must be > 0", file=sys.stderr)
+    if not 0 < args.t_max < math.inf:
+        print("--t-max must be > 0 and finite", file=sys.stderr)
         return EXIT_USAGE
     if args.steps < 1:
         print("--steps must be >= 1", file=sys.stderr)
@@ -200,7 +200,7 @@ def _cmd_oracle(args) -> int:
             grid = Grid.centered(args.mean_x, args.domain_sigmas * sigma, args.n)
             psi = sample_extremal(spec, args.mean_x, args.mean_p, grid, hbar)
             _write_output(wavefn_csv(psi), args.dump_psi)
-    except (GridError, ConvergenceError) as exc:
+    except GridError as exc:
         print(f"oracle failed: {exc}", file=sys.stderr)
         return EXIT_VERIFY
     except ValueError as exc:
@@ -210,18 +210,22 @@ def _cmd_oracle(args) -> int:
     return EXIT_OK if report.ok else EXIT_VERIFY
 
 
+def _reject_constant(literal: str):
+    # json.load accepts NaN, Infinity and -Infinity unless told otherwise.
+    raise ConfigError(literal, "non-finite JSON literal is not allowed")
+
+
 def _cmd_ozawa(args) -> int:
     try:
         with open(args.config) as fh:
-            raw = json.load(fh)
+            raw = json.load(fh, parse_constant=_reject_constant)
+        config = OzawaConfig.from_dict(raw)
     except OSError as exc:
         print(f"cannot read config: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except json.JSONDecodeError as exc:
         print(f"config is not valid JSON: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    try:
-        config = OzawaConfig.from_dict(raw)
     except ConfigError as exc:
         print(f"invalid config: {exc}", file=sys.stderr)
         return EXIT_USAGE
@@ -294,7 +298,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--n-steps",
         type=int,
         default=None,
-        help="split-step count for oscillators; default auto-refines from 4096",
+        help="default: exact chirp propagator; N selects the split step",
     )
     po.add_argument("--dump-psi", default=None, help="write the initial |psi|^2 as CSV")
     po.set_defaults(func=_cmd_oracle)

@@ -16,9 +16,9 @@ Conventions (bit-exact, since vpp depends on them):
   Parseval sums over the discrete spectral density.
 
 Free evolution is exact up to discretization (pure momentum-space phase).
-The oscillator uses the symmetric split step (half potential, full kinetic,
-half potential), second order in t/n_steps; both preserve the quadrature
-norm to rounding.
+So is the oscillator (chirp–FFT–chirp, coefficients from the Hamiltonian,
+never from the closed-form flow it checks); the symmetric split step, second
+order in t/n_steps, runs on request. All preserve the norm to rounding.
 """
 
 from __future__ import annotations
@@ -54,14 +54,13 @@ __all__ = [
     "Moments",
     "GridError",
     "AliasingError",
-    "ConvergenceError",
     "sample_gaussian",
     "sample_extremal",
     "quadrature_norm",
     "moments",
     "propagate_free",
     "propagate_osc",
-    "propagate_osc_adaptive",
+    "propagate_osc_exact",
     "verify_bounds_oracle",
     "OracleReport",
     "wavefn_csv",
@@ -74,10 +73,6 @@ class GridError(ValueError):
 
 class AliasingError(GridError):
     """Momentum content or spreading exceeds what the grid resolves."""
-
-
-class ConvergenceError(RuntimeError):
-    """Split-step refinement hit its cap before reaching the tolerance."""
 
 
 @dataclass(frozen=True)
@@ -278,6 +273,20 @@ def propagate_free(psi: WaveFn, m: float, t: float) -> WaveFn:
     return out
 
 
+def _chirp_kick_chirp(psi: WaveFn, chirp: np.ndarray, kick: np.ndarray, n_steps: int) -> WaveFn:
+    """(chirp · FFT⁻¹[kick · FFT(·)] · chirp)^n_steps with adjacent chirps merged."""
+    full = chirp * chirp
+    a = psi.amps * chirp
+    for step in range(n_steps):
+        a = np.fft.ifft(kick * np.fft.fft(a))
+        if step < n_steps - 1:
+            a = a * full
+    a = a * chirp
+    out = WaveFn(grid=psi.grid, amps=a, hbar=psi.hbar)
+    _check_result(out)
+    return out
+
+
 def propagate_osc(psi: WaveFn, m: float, omega: float, t: float, n_steps: int) -> WaveFn:
     """Oscillator evolution by symmetric split step, V = ½mω²x².
 
@@ -296,79 +305,61 @@ def propagate_osc(psi: WaveFn, m: float, omega: float, t: float, n_steps: int) -
     x = psi.grid.points()
     p = psi.grid.momenta(psi.hbar)
     half_v = np.exp(-1j * m * omega * omega * x * x * dt / (4.0 * psi.hbar))
-    full_v = half_v * half_v
     kinetic = np.exp(-1j * p * p * dt / (2.0 * m * psi.hbar))
-
-    a = psi.amps * half_v
-    for step in range(n_steps):
-        a = np.fft.ifft(kinetic * np.fft.fft(a))
-        if step < n_steps - 1:
-            a = a * full_v
-    a = a * half_v
-    out = WaveFn(grid=psi.grid, amps=a, hbar=psi.hbar)
-    _check_result(out)
-    return out
+    return _chirp_kick_chirp(psi, half_v, kinetic, n_steps)
 
 
-_MOMENT_FIELDS = ("mean_x", "mean_p", "vxx", "vpp", "vxp")
+def propagate_osc_exact(psi: WaveFn, m: float, omega: float, t: float) -> WaveFn:
+    """Exact oscillator evolution, H = p²/2m + ½mω²x², θ = ωt (t may be negative).
 
-
-def _moment_delta(a: Moments, b: Moments) -> float:
-    return max(abs(getattr(a, f) - getattr(b, f)) for f in _MOMENT_FIELDS)
-
-
-def propagate_osc_adaptive(
-    psi: WaveFn,
-    m: float,
-    omega: float,
-    t: float,
-    moment_tol: float = 1e-8,
-    n_steps_start: int = 4096,
-    n_steps_cap: int = 65536,
-) -> tuple[WaveFn, float, int]:
-    """Split-step with n_steps doubled until moments move by < moment_tol.
-
-    Returns (wavefunction, last moment change, n_steps used). Raises
-    ConvergenceError with the achieved error estimate if the cap is hit.
+    Up to a global phase, which moments do not see, the propagator is the
+    chirp e^{−i·tan(θ/2)·mωx²/(2ħ)}, then e^{−i·sin(θ)·p²/(2mωħ)} in momentum
+    space, then the same chirp. The propagator is 2π-periodic in θ up to a
+    global phase too, so θ is reduced into [−π, π] and split into at most two
+    equal sub-steps (⌈|θ|/(π/2)⌉) to keep tan off its pole at π; each costs
+    2 FFTs, whatever t. Raises AliasingError when the input, the chirped
+    intermediate or the final 8σ window is not resolved by the grid.
     """
-    n = n_steps_start
-    prev = propagate_osc(psi, m, omega, t, n)
-    prev_m = moments(prev)
-    delta = math.inf
-    while 2 * n <= n_steps_cap:
-        n *= 2
-        cur = propagate_osc(psi, m, omega, t, n)
-        cur_m = moments(cur)
-        delta = _moment_delta(cur_m, prev_m)
-        if delta < moment_tol:
-            return cur, delta, n
-        prev, prev_m = cur, cur_m
-    raise ConvergenceError(
-        f"no convergence below {moment_tol:g} at n_steps cap {n_steps_cap}; "
-        f"achieved moment change estimate {delta:.3g}"
+    if not (m > 0 and omega > 0):
+        raise ValueError(f"m and omega must be > 0, got m={m}, omega={omega}")
+    mom = moments(psi)
+    _check_momentum_resolution(psi, mom)
+    # The chirp adds c·x to the momentum with |c| <= mω. Mean and spread of
+    # P − cX are bounded by the conserved ⟨P⟩² + (mω⟨X⟩)² and vpp + (mω)²vxx.
+    mw = m * omega
+    limit = math.pi * psi.hbar / (
+        math.sqrt(2.0) * math.hypot(mom.mean_p, mw * mom.mean_x)
+        + 6.0 * math.sqrt(2.0 * (mom.vpp + mw * mw * mom.vxx))
     )
+    if not psi.grid.dx < limit:
+        raise AliasingError(
+            f"dx = {psi.grid.dx:.3g} does not resolve the chirped intermediate (need {limit:.3g})"
+        )
+    theta = math.remainder(omega * t, 2.0 * math.pi)
+    k = max(1, math.ceil(abs(theta) / (0.5 * math.pi)))
+    theta_k = theta / k
+    x = psi.grid.points()
+    p = psi.grid.momenta(psi.hbar)
+    chirp = np.exp(-1j * math.tan(0.5 * theta_k) * mw * x * x / (2.0 * psi.hbar))
+    kick = np.exp(-1j * math.sin(theta_k) * p * p / (2.0 * mw * psi.hbar))
+    return _chirp_kick_chirp(psi, chirp, kick, k)
 
 
-def _propagate(
-    psi: WaveFn, model: SystemModel, t: float, n_steps: Optional[int]
-) -> WaveFn:
-    def split_step(m_eff: float, omega: float) -> WaveFn:
-        # n_steps None: auto-refine from the desk default until the moments
-        # settle below 1e-8 (cap 2^16).
-        if n_steps is None:
-            return propagate_osc_adaptive(psi, m_eff, omega, t)[0]
-        return propagate_osc(psi, m_eff, omega, t, n_steps)
-
+def _propagate(psi: WaveFn, model: SystemModel, t: float, n_steps: Optional[int]) -> WaveFn:
     if isinstance(model, FreeMass):
         return propagate_free(psi, model.m, t)
     if isinstance(model, Oscillator):
-        return split_step(model.m, model.omega)
-    if isinstance(model, DimensionlessOscillator):
+        m, omega = model.m, model.omega
+    elif isinstance(model, DimensionlessOscillator):
         if model.omega == 0.0 or t == 0.0:
             return WaveFn(grid=psi.grid, amps=psi.amps.copy(), hbar=psi.hbar)
         # i∂ψ/∂t = ½ω(−∂² + x²)ψ is an oscillator with m_eff = 1/ω, ω_eff = ω.
-        return split_step(1.0 / model.omega, model.omega)
-    raise TypeError(f"unknown system model: {model!r}")
+        m, omega = 1.0 / model.omega, model.omega
+    else:
+        raise TypeError(f"unknown system model: {model!r}")
+    if n_steps is None:
+        return propagate_osc_exact(psi, m, omega, t)
+    return propagate_osc(psi, m, omega, t, n_steps)
 
 
 def _spec_from_state(state: GaussianState, hbar: float) -> ExtremalSpec:
@@ -469,8 +460,9 @@ def verify_bounds_oracle(
     symplectic evolution of quvar.gaussian and (b) the envelope value of
     quvar.bounds the pure state must saturate. Any pure Gaussian works as a
     target: passing a GaussianState requires a saturated SR margin (a mixed
-    covariance has no single wavefunction). Oscillator propagation with
-    n_steps=None auto-refines until the moments settle below 1e-8.
+    covariance has no single wavefunction). Oscillators propagate with the
+    exact chirp–FFT–chirp factorization by default; an integer n_steps
+    selects the symmetric split step with that many steps instead.
     """
     if isinstance(model, DimensionlessOscillator):
         hbar = 1.0

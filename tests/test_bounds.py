@@ -58,6 +58,18 @@ class TestFreeMassBounds:
         with pytest.raises(ValueError, match="t must be >= 0"):
             free_mass_bounds(1.0, 1.0, 1.0, 1.0, -0.5)
 
+    @pytest.mark.parametrize("t", [math.inf, math.nan])
+    def test_non_finite_time_rejected(self, t):
+        # Non-finite t must raise, not return lower = nan.
+        with pytest.raises(ValueError, match="t must be"):
+            free_mass_bounds(1.0, 1.0, 1.0, 1.0, t)
+        with pytest.raises(ValueError, match="t must be"):
+            oscillator_bounds_dimensional(1.0, 1.0, 1.0, 1.0, 1.0, t)
+        with pytest.raises(ValueError, match="t must be"):
+            oscillator_bounds_x(1.0, 1.0, t)
+        with pytest.raises(ValueError, match="t must be"):
+            oscillator_bounds_p(1.0, 1.0, t)
+
     @given(variance_pairs(), st.floats(0.0, 10.0), st.floats(0.1, 10.0))
     def test_lower_positive_and_floored(self, pair, t, m):
         vxx, vpp = pair

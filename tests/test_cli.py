@@ -73,6 +73,12 @@ class TestBounds:
         assert code == 2
         assert "uncertainty product" in err
 
+    def test_infinite_t_max_exits_2(self, capsys):
+        code, out, err = run_cli(capsys, "bounds", "--t-max", "inf")
+        assert code == 2
+        assert out == ""
+        assert "--t-max must be > 0 and finite" in err
+
     def test_byte_identical_reruns(self, capsys):
         _, out1, _ = run_cli(capsys, "bounds", "--steps", "11")
         _, out2, _ = run_cli(capsys, "bounds", "--steps", "11")
@@ -248,6 +254,18 @@ class TestOzawa:
         code, _, err = run_cli(capsys, "ozawa", "--config", str(path))
         assert code == 2
         assert "JSON" in err
+
+    @pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity"])
+    def test_non_finite_json_literal_exits_2(self, capsys, tmp_path, literal):
+        raw = json.loads(open(REFERENCE_CONFIG).read())
+        raw["tau"] = "placeholder"
+        path = tmp_path / "nonfinite.json"
+        path.write_text(json.dumps(raw).replace('"placeholder"', literal))
+        code, out, err = run_cli(capsys, "ozawa", "--config", str(path))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("invalid config: ")
+        assert literal in err
 
     def test_zero_horizon_auto_schedule_exits_2(self, capsys, tmp_path):
         raw = json.loads(open(REFERENCE_CONFIG).read())

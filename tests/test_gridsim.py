@@ -5,7 +5,6 @@ import pytest
 
 from quvar import (
     AliasingError,
-    ConvergenceError,
     DimensionlessOscillator,
     ExtremalSpec,
     FreeMass,
@@ -13,6 +12,7 @@ from quvar import (
     Grid,
     GridError,
     Oscillator,
+    PhysConfig,
     contraction_phase_osc,
     evolve,
     free_mass_bounds,
@@ -20,7 +20,7 @@ from quvar import (
     moments,
     propagate_free,
     propagate_osc,
-    propagate_osc_adaptive,
+    propagate_osc_exact,
     quadrature_norm,
     sample_extremal,
     sample_gaussian,
@@ -161,19 +161,19 @@ class TestPropagateOsc:
     def test_contractive_matches_signed_branch_at_half_horizon(self):
         phase = contraction_phase_osc(1.0, 1.0) / 2.0  # pi/4
         psi = sample_extremal(CONTRACTIVE, 0.0, 0.0, desk_grid(half=30.0), 1.0)
-        got = moments(propagate_osc(psi, 1.0, 1.0, phase, n_steps=4096)).vxx
+        got = moments(propagate_osc_exact(psi, 1.0, 1.0, phase)).vxx
         s = math.sqrt(4.0 * 1.0 * 1.0 - 1.0)
         want = (
             math.cos(phase) ** 2 + math.sin(phase) ** 2 - 0.5 * math.sin(2.0 * phase) * s
         )
-        assert got == pytest.approx(want, abs=1e-7)
+        assert got == pytest.approx(want, abs=1e-12)
 
     def test_full_period_returns_to_start(self):
         psi = sample_extremal(CONTRACTIVE, 0.4, 0.0, Grid.centered(0.4, 20.0, 2**12), 1.0)
         start = moments(psi)
-        out = moments(propagate_osc(psi, 1.0, 1.0, 2.0 * math.pi, n_steps=16384))
+        out = moments(propagate_osc_exact(psi, 1.0, 1.0, 2.0 * math.pi))
         for field in ("mean_x", "mean_p", "vxx", "vpp", "vxp"):
-            assert getattr(out, field) == pytest.approx(getattr(start, field), abs=1e-7)
+            assert getattr(out, field) == pytest.approx(getattr(start, field), abs=1e-12)
 
     def test_norm_preserved(self):
         psi = sample_extremal(CONTRACTIVE, 0.0, 0.0, desk_grid(half=30.0, n=2**12), 1.0)
@@ -195,21 +195,56 @@ class TestPropagateOsc:
         assert errors[0] / errors[1] >= 4.0
         assert errors[1] / errors[2] >= 4.0
 
-    def test_adaptive_converges(self):
-        psi = sample_extremal(CONTRACTIVE, 0.0, 0.0, Grid.centered(0.0, 25.0, 2**10), 1.0)
-        out, delta, used = propagate_osc_adaptive(
-            psi, 1.0, 1.0, 0.5, moment_tol=1e-6, n_steps_start=64, n_steps_cap=4096
-        )
-        assert delta < 1e-6
-        assert 64 < used <= 4096
+
+class TestPropagateOscExact:
+    MODEL = Oscillator(m=1.5, omega=0.7)
+    HBAR = 0.8
+    SPEC = ExtremalSpec.from_variances(0.8, 0.9, 0.8, 1)
+
+    def _start(self, n=2**12):
+        psi = sample_extremal(self.SPEC, 0.3, -0.2, Grid.centered(0.3, 30.0, n), self.HBAR)
+        state = gaussian_from_extremal(self.SPEC, 0.3, -0.2, self.HBAR)
+        return psi, state
+
+    @pytest.mark.parametrize(
+        "phase", [0.1, math.pi / 2.0, math.pi - 1e-3, math.pi, 2.0 * math.pi, 11.0, 1e3, -0.9]
+    )
+    def test_matches_closed_form_across_substep_boundaries(self, phase):
+        psi, state = self._start()
+        t = phase / self.MODEL.omega
+        got = moments(propagate_osc_exact(psi, self.MODEL.m, self.MODEL.omega, t))
+        want = evolve(state, self.MODEL, t, PhysConfig(self.HBAR))
+        for field in ("mean_x", "mean_p", "vxx", "vpp", "vxp"):
+            assert getattr(got, field) == pytest.approx(getattr(want, field), abs=1e-12)
+
+    def test_agrees_with_split_step(self):
+        # Two grid routes, neither using the closed-form flow.
+        psi, _ = self._start(n=2**10)
+        exact = moments(propagate_osc_exact(psi, self.MODEL.m, self.MODEL.omega, 2.0))
+        split = moments(propagate_osc(psi, self.MODEL.m, self.MODEL.omega, 2.0, n_steps=2048))
+        for field in ("mean_x", "mean_p", "vxx", "vpp", "vxp"):
+            assert getattr(split, field) == pytest.approx(getattr(exact, field), abs=1e-6)
+
+    def test_norm_preserved(self):
+        psi, _ = self._start()
+        out = propagate_osc_exact(psi, self.MODEL.m, self.MODEL.omega, 7.0)
         assert abs(quadrature_norm(out) - 1.0) <= 1e-12
 
-    def test_adaptive_cap_raises(self):
-        psi = sample_extremal(CONTRACTIVE, 0.0, 0.0, Grid.centered(0.0, 25.0, 2**10), 1.0)
-        with pytest.raises(ConvergenceError, match="achieved"):
-            propagate_osc_adaptive(
-                psi, 1.0, 1.0, 0.5, moment_tol=1e-16, n_steps_start=16, n_steps_cap=64
-            )
+    def test_unresolved_chirped_intermediate_raises(self):
+        # dx = 0.078 resolves the sampled state (|<P>| + 6 sigma_P = 6), but
+        # the chirp shifts the momentum by up to m*omega*|<X>| = 30.
+        psi = sample_extremal(CONTRACTIVE, 30.0, 0.0, desk_grid(n=2**10), 1.0)
+        with pytest.raises(AliasingError, match="chirped"):
+            propagate_osc_exact(psi, 1.0, 1.0, 0.5)
+        finer = sample_extremal(CONTRACTIVE, 30.0, 0.0, desk_grid(n=2**11), 1.0)
+        got = moments(propagate_osc_exact(finer, 1.0, 1.0, 0.5))
+        assert got.mean_x == pytest.approx(30.0 * math.cos(0.5), abs=1e-10)
+
+    @pytest.mark.parametrize("omega", [0.0, -1.0])
+    def test_non_positive_omega_rejected(self, omega):
+        psi = sample_extremal(CONTRACTIVE, 0.0, 0.0, desk_grid(n=2**10), 1.0)
+        with pytest.raises(ValueError, match="omega"):
+            propagate_osc_exact(psi, 1.0, omega, 1.0)
 
 
 class TestVerifyBoundsOracle:
