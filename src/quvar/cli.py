@@ -19,6 +19,7 @@ import argparse
 import json
 import math
 import sys
+from collections.abc import Iterable
 
 from .bounds import (
     contraction_phase_osc,
@@ -75,12 +76,13 @@ def _render_json(obj, indent: int = 0) -> str:
     raise TypeError(f"cannot render {obj!r}")
 
 
-def _write_output(text: str, path: str | None) -> None:
+def _write_output(chunks: Iterable[str], path: str | None) -> None:
+    """Write the chunks in order to stdout, or to the file at path."""
     if path is None:
-        sys.stdout.write(text)
+        sys.stdout.writelines(chunks)
     else:
         with open(path, "w", newline="\n") as fh:
-            fh.write(text)
+            fh.writelines(chunks)
 
 
 def _sign_value(sign: str) -> int:
@@ -113,7 +115,7 @@ def _cmd_bounds(args) -> int:
     except ValueError as exc:
         print(str(exc), file=sys.stderr)
         return EXIT_USAGE
-    _write_output("\n".join(lines) + "\n", args.output)
+    _write_output(["\n".join(lines) + "\n"], args.output)
     return EXIT_OK
 
 
@@ -155,7 +157,7 @@ def _cmd_extremal(args) -> int:
         **contraction,
         "squeeze": {"r": r, "theta": theta, "alpha": alpha, "beta": beta},
     }
-    _write_output(_render_json(record) + "\n", args.output)
+    _write_output([_render_json(record) + "\n"], args.output)
     return EXIT_OK
 
 
@@ -199,7 +201,7 @@ def _cmd_oracle(args) -> int:
             sigma = math.sqrt(args.vxx0)
             grid = Grid.centered(args.mean_x, args.domain_sigmas * sigma, args.n)
             psi = sample_extremal(spec, args.mean_x, args.mean_p, grid, hbar)
-            _write_output(wavefn_csv(psi), args.dump_psi)
+            _write_output([wavefn_csv(psi)], args.dump_psi)
     except GridError as exc:
         print(f"oracle failed: {exc}", file=sys.stderr)
         return EXIT_VERIFY
@@ -241,7 +243,7 @@ def _cmd_ozawa(args) -> int:
     except (ValueError, RuntimeError) as exc:
         print(f"protocol failed: {exc}", file=sys.stderr)
         return EXIT_VERIFY
-    _write_output(trace.to_csv(), args.output)
+    _write_output(trace.csv_lines(), args.output)
     if args.strict and warnings:
         return EXIT_VERIFY
     return EXIT_OK

@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import Iterator, Optional
 
 import numpy as np
 
@@ -83,10 +83,6 @@ SYMPLECTIC_FORM_4 = np.array(
     ]
 )
 
-_POS = [0, 2]  # (x, y) rows/cols
-_MOM = [1, 3]  # (p_x, p_y) rows/cols
-
-
 def interaction_generator(k: float) -> np.ndarray:
     """Linear Heisenberg flow generator in (x, p_x, y, p_y) ordering.
 
@@ -105,23 +101,17 @@ def interaction_generator(k: float) -> np.ndarray:
 
 
 def interaction_map(k: float, tau: float) -> np.ndarray:
-    """exp(generator·τ), evaluated analytically per block.
+    """exp(generator·τ), evaluated analytically.
 
-    With B a generator block at unit coupling, B² = −3·I, so
-    exp(kτ·B) = cos(√3 kτ)·I + sin(√3 kτ)/√3 · B. The blocks are sliced out
-    of interaction_generator(1.0) rather than written down again. At
-    kτ = π/(3√3) the position block is [[1, −1], [1, 0]] and the momentum
+    The unit-coupling generator G = interaction_generator(1.0) squares to
+    −3·I (block by block), so exp(kτ·G) = cos(√3 kτ)·I + sin(√3 kτ)/√3 · G.
+    At kτ = π/(3√3) the position block is [[1, −1], [1, 0]] and the momentum
     block is its inverse transpose [[0, −1], [1, 1]].
     """
     gen1 = interaction_generator(1.0)
     s = math.sqrt(3.0) * k * tau
-    c = math.cos(s)
-    f = math.sin(s) / math.sqrt(3.0)
-    out = np.zeros((4, 4))
-    eye2 = np.eye(2)
-    out[np.ix_(_POS, _POS)] = c * eye2 + f * gen1[np.ix_(_POS, _POS)]
-    out[np.ix_(_MOM, _MOM)] = c * eye2 + f * gen1[np.ix_(_MOM, _MOM)]
-    return out
+    # np.diag, not cos·eye: its off-diagonal zeros stay +0.0 when cos < 0.
+    return math.sin(s) / math.sqrt(3.0) * gen1 + np.diag([math.cos(s)] * 4)
 
 
 def symplectic_defect(M: np.ndarray) -> float:
@@ -151,14 +141,30 @@ def couple(
     marginal variance equals the prior system position variance.
     """
     for name, state in (("system", system), ("meter", meter)):
-        report = validate_state(state, config)
-        if not report.ok:
-            raise ValueError(f"invalid {name} state: " + "; ".join(report.violations))
-    mean = np.array([system.mean_x, system.mean_p, meter.mean_x, meter.mean_p])
+        _require_valid(name, state, config)
+    return _couple(system, meter, _meter_block(meter), interaction_map(k, tau))
+
+
+def _require_valid(name: str, state: GaussianState, config: PhysConfig) -> None:
+    report = validate_state(state, config)
+    if not report.ok:
+        raise ValueError(f"invalid {name} state: " + "; ".join(report.violations))
+
+
+def _meter_block(meter: GaussianState) -> np.ndarray:
+    """Joint 4×4 covariance with only the meter block filled in."""
     cov = np.zeros((4, 4))
-    cov[:2, :2] = system.cov
     cov[2:, 2:] = meter.cov
-    M = interaction_map(k, tau)
+    return cov
+
+
+def _couple(
+    system: GaussianState, meter: GaussianState, meter_block: np.ndarray, M: np.ndarray
+) -> TwoModeGaussian:
+    """couple() without validation, for a precomputed meter block and map."""
+    mean = np.array([system.mean_x, system.mean_p, meter.mean_x, meter.mean_p])
+    cov = meter_block.copy()
+    cov[:2, :2] = system.cov
     mean = M @ mean
     cov = M @ cov @ M.T
     cov = 0.5 * (cov + cov.T)
@@ -250,6 +256,11 @@ class OzawaConfig:
     mode: str = "sample"
 
     def __post_init__(self) -> None:
+        if not isinstance(self.system, (FreeMass, Oscillator, DimensionlessOscillator)):
+            raise ConfigError("system", f"unknown system model {self.system!r}")
+        for name, value in self._numeric_fields():
+            if not math.isfinite(value):
+                raise ConfigError(name, f"must be finite, got {value}")
         if not self.hbar > 0:
             raise ConfigError("hbar", f"must be > 0, got {self.hbar}")
         if isinstance(self.system, DimensionlessOscillator) and self.hbar != 1.0:
@@ -264,8 +275,6 @@ class OzawaConfig:
             raise ConfigError("Omega", f"must be >= 0, got {self.Omega}")
         if self.delta_tau < 0:
             raise ConfigError("delta_tau", f"must be >= 0, got {self.delta_tau}")
-        if not isinstance(self.system, (FreeMass, Oscillator, DimensionlessOscillator)):
-            raise ConfigError("system", f"unknown system model {self.system!r}")
         vyy0, vpp_y0 = self.meter_variances
         if not vyy0 > 0 or not vpp_y0 > 0:
             raise ConfigError(
@@ -284,6 +293,18 @@ class OzawaConfig:
         report = validate_state(self.initial_system, PhysConfig(hb))
         if not report.ok:
             raise ConfigError("initial_system", "; ".join(report.violations))
+
+    def _numeric_fields(self) -> Iterator[tuple[str, float]]:
+        """(name, value) of every float field, nested ones as "parent.child"."""
+        for name in ("k", "tau", "Omega", "delta_tau", "hbar"):
+            yield name, getattr(self, name)
+        if self.T is not None:
+            yield "T", self.T
+        yield from zip(("meter_variances.vyy0", "meter_variances.vpp_y0"), self.meter_variances)
+        for name, value in vars(self.system).items():
+            yield f"system.{name}", value
+        for name, value in self.initial_system.to_dict().items():
+            yield f"initial_system.{name}", value
 
     def _hbar_eff(self) -> float:
         return 1.0 if isinstance(self.system, DimensionlessOscillator) else self.hbar
@@ -465,27 +486,20 @@ class ProtocolTrace:
 
     steps: tuple[StepRecord, ...]
 
-    def to_csv(self) -> str:
-        lines = [
-            "i,t,y_reading,vxx_pre,vxp_pre,vpp_pre,vxx_post,vxp_post,vpp_post,vyy_meter"
-        ]
+    def csv_lines(self) -> Iterator[str]:
+        """The trace CSV one newline-terminated line at a time: the header,
+        then one row per measurement with floats at 17 significant digits."""
+        yield "i,t,y_reading,vxx_pre,vxp_pre,vpp_pre,vxx_post,vxp_post,vpp_post,vyy_meter\n"
         for s in self.steps:
-            cells = [str(s.index)] + [
-                f"{v:.17g}"
-                for v in (
-                    s.time,
-                    s.y_reading,
-                    s.pre.vxx,
-                    s.pre.vxp,
-                    s.pre.vpp,
-                    s.post.vxx,
-                    s.post.vxp,
-                    s.post.vpp,
-                    s.meter.vxx,
-                )
-            ]
-            lines.append(",".join(cells))
-        return "\n".join(lines) + "\n"
+            pre, post = s.pre, s.post
+            yield (
+                f"{s.index},{s.time:.17g},{s.y_reading:.17g},"
+                f"{pre.vxx:.17g},{pre.vxp:.17g},{pre.vpp:.17g},"
+                f"{post.vxx:.17g},{post.vxp:.17g},{post.vpp:.17g},{s.meter.vxx:.17g}\n"
+            )
+
+    def to_csv(self) -> str:
+        return "".join(self.csv_lines())
 
 
 def run_protocol(config: OzawaConfig, strict: bool = False) -> ProtocolTrace:
@@ -501,6 +515,12 @@ def run_protocol(config: OzawaConfig, strict: bool = False) -> ProtocolTrace:
     Regime violations are warnings unless strict, which raises RegimeError.
     The meter-variance transfer identity is asserted at every step whenever
     the timing dose is exact.
+
+    The coupling map and the meter preparation are built and validated once
+    per run; each round validates its pre-measurement system state. The
+    result is bit-identical to chaining couple → meter_marginal → read_meter
+    → evolve by hand with rng.normal draws. ProtocolTrace.csv_lines() streams
+    the trace as CSV row by row, which is how `quvar ozawa` writes it.
     """
     warnings = check_regime(config)
     if strict and warnings:
@@ -509,17 +529,27 @@ def run_protocol(config: OzawaConfig, strict: bool = False) -> ProtocolTrace:
     period = config.period()
     wait = period - config.tau
     timing_exact = abs(config.k * config.tau - TRANSFER_KTAU) <= 1e-9 * TRANSFER_KTAU
-    rng = np.random.default_rng(config.seed)
+    # Loop invariants: the coupling map, the validated meter preparation in
+    # its covariance block, and (sample mode) the whole normal stream. One
+    # batched standard_normal draw gives the same doubles as N successive
+    # rng.normal(mean, sd) calls, since those compute mean + sd·z as well.
+    M = interaction_map(config.k, config.tau)
     meter = config.meter_state()
+    _require_valid("meter", meter, pconf)
+    meter_block = _meter_block(meter)
+    rng = np.random.default_rng(config.seed)  # validates the seed in mean mode too
+    if config.mode == "sample":
+        normals = rng.standard_normal(config.N).tolist()
     system = config.initial_system
     records = []
     for i in range(1, config.N + 1):
-        joint = couple(system, meter, config.k, config.tau, pconf)
+        _require_valid("system", system, pconf)
+        joint = _couple(system, meter, meter_block, M)
         marginal = meter_marginal(joint)
         if config.mode == "mean":
             reading = marginal.mean_x
         else:
-            reading = float(rng.normal(marginal.mean_x, math.sqrt(marginal.vxx)))
+            reading = marginal.mean_x + math.sqrt(marginal.vxx) * normals[i - 1]
         post = read_meter(joint, reading)
         if timing_exact:
             transfer_err = abs(marginal.vxx - system.vxx)
@@ -574,10 +604,7 @@ def sample_joint(
     block of interaction_map at the given dose. At kτ = π/(3√3) this reduces
     to ψ(y)·χ(y − x). amps[i, j] corresponds to (x_i, y_j).
     """
-    gen1 = interaction_generator(1.0)
-    b_pos = gen1[np.ix_(_POS, _POS)]
-    s = math.sqrt(3.0) * ktau
-    inv = math.cos(s) * np.eye(2) - math.sin(s) / math.sqrt(3.0) * b_pos
+    inv = interaction_map(1.0, -ktau)[::2, ::2]  # A⁻¹: position block (x, y) at −kτ
     x = grid_x.points()[:, None]
     y = grid_y.points()[None, :]
     x0 = inv[0, 0] * x + inv[0, 1] * y

@@ -4,6 +4,7 @@ from pathlib import Path
 
 import pytest
 
+from quvar import OzawaConfig, run_protocol
 from quvar.cli import main
 
 SQRT3 = math.sqrt(3.0)
@@ -266,6 +267,41 @@ class TestOzawa:
         assert out == ""
         assert err.startswith("invalid config: ")
         assert literal in err
+
+    @pytest.mark.parametrize(
+        "field",
+        ["k", "tau", "meter_variances.vyy0", "initial_system.mean_x", "system.m"],
+    )
+    def test_overflowing_number_exits_2(self, capsys, tmp_path, field):
+        # 1e999 is valid JSON and parses to inf.
+        raw = json.loads(open(REFERENCE_CONFIG).read())
+        *parents, leaf = field.split(".")
+        node = raw
+        for key in parents:
+            node = node[key]
+        node[leaf] = "placeholder"
+        path = tmp_path / "overflow.json"
+        path.write_text(json.dumps(raw).replace('"placeholder"', "1e999"))
+        code, out, err = run_cli(capsys, "ozawa", "--config", str(path))
+        assert code == 2
+        assert out == ""
+        assert err == f"invalid config: {field}: must be finite, got inf\n"
+
+    def test_output_file_matches_stdout(self, capsys, tmp_path):
+        raw = json.loads(open(REFERENCE_CONFIG).read())
+        raw.update(mode="sample", N=40)
+        config_path = tmp_path / "sampled.json"
+        config_path.write_text(json.dumps(raw))
+        trace_path = tmp_path / "trace.csv"
+        code, out, _ = run_cli(capsys, "ozawa", "--config", str(config_path))
+        assert code == 0
+        code, out_with_file, _ = run_cli(
+            capsys, "ozawa", "--config", str(config_path), "--output", str(trace_path)
+        )
+        assert code == 0
+        assert out_with_file == ""
+        want = run_protocol(OzawaConfig.from_dict(raw)).to_csv().encode()
+        assert trace_path.read_bytes() == out.encode() == want
 
     def test_zero_horizon_auto_schedule_exits_2(self, capsys, tmp_path):
         raw = json.loads(open(REFERENCE_CONFIG).read())

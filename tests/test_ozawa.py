@@ -14,9 +14,13 @@ from quvar import (
     Grid,
     Oscillator,
     OzawaConfig,
+    PhysConfig,
+    ProtocolTrace,
     RegimeError,
+    StepRecord,
     check_regime,
     couple,
+    evolve,
     gaussian_from_extremal,
     interaction_generator,
     interaction_map,
@@ -317,6 +321,17 @@ class TestConfig:
             (dict(T=0.001), "T"),
             (dict(mode="median"), "mode"),
             (dict(initial_system=GaussianState(vxx=1.0, vpp=1.0, vxp=0.9)), "initial_system"),
+            # Non-finite fields: NaN passes every range comparison and inf
+            # fails only deep inside the run, so finiteness is its own check.
+            (dict(Omega=math.nan), "Omega"),
+            (dict(delta_tau=math.nan), "delta_tau"),
+            (dict(k=math.inf), "k"),
+            (dict(tau=math.inf), "tau"),
+            (dict(hbar=math.inf), "hbar"),
+            (dict(T=math.inf), "T"),
+            (dict(meter_variances=(math.inf, 1.0)), "meter_variances.vyy0"),
+            (dict(system=FreeMass(m=math.inf)), "system.m"),
+            (dict(initial_system=contractive(1.0, 1.0, mean_x=math.nan)), "initial_system.mean_x"),
         ],
     )
     def test_violations_name_the_field(self, overrides, field):
@@ -519,3 +534,99 @@ class TestRunProtocol:
         trace = run_protocol(cfg)
         for step in trace.steps:
             assert step.pre.vxx <= meter_variances[0] + 1e-9
+
+
+def reference_trace(cfg):
+    """Reference for run_protocol: a plain loop of public calls with one
+    rng.normal draw per round and nothing hoisted."""
+    pconf = PhysConfig(1.0 if isinstance(cfg.system, DimensionlessOscillator) else cfg.hbar)
+    period = cfg.period()
+    rng = np.random.default_rng(cfg.seed)
+    meter = cfg.meter_state()
+    system = cfg.initial_system
+    steps = []
+    for i in range(1, cfg.N + 1):
+        joint = couple(system, meter, cfg.k, cfg.tau, pconf)
+        marginal = meter_marginal(joint)
+        if cfg.mode == "mean":
+            reading = marginal.mean_x
+        else:
+            reading = float(rng.normal(marginal.mean_x, math.sqrt(marginal.vxx)))
+        post = read_meter(joint, reading)
+        steps.append(StepRecord(i, (i - 1) * period, reading, system, post, marginal))
+        system = evolve(post, cfg.system, period - cfg.tau, pconf)
+    return ProtocolTrace(steps=tuple(steps))
+
+
+def reference_csv(trace):
+    """Reference CSV formatter: str(index), then one %.17g cell per value."""
+    lines = ["i,t,y_reading,vxx_pre,vxp_pre,vpp_pre,vxx_post,vxp_post,vpp_post,vyy_meter"]
+    for s in trace.steps:
+        values = (
+            s.time, s.y_reading, s.pre.vxx, s.pre.vxp, s.pre.vpp,
+            s.post.vxx, s.post.vxp, s.post.vpp, s.meter.vxx,
+        )
+        lines.append(",".join([str(s.index)] + [f"{v:.17g}" for v in values]))
+    return "\n".join(lines) + "\n"
+
+
+SYSTEMS = {
+    "free": dict(
+        system=FreeMass(m=1.3),
+        meter_variances=(1.2, 0.9),
+        initial_system=contractive(0.8, 1.5, mean_x=0.3, mean_p=-0.2),
+    ),
+    "osc": dict(
+        system=Oscillator(m=0.5, omega=0.8),
+        hbar=0.7,
+        meter_variances=(1.2, 0.9),
+        initial_system=contractive(1.1, 0.7, mean_x=-0.4, mean_p=0.6),
+    ),
+    "osc-dimless": dict(
+        system=DimensionlessOscillator(omega=1.5),
+        meter_variances=(1.0, 2.0),
+        initial_system=contractive(1.0, 2.0, mean_x=0.2),
+    ),
+}
+
+
+class TestRunProtocolBitIdentity:
+    """run_protocol hoists the map, the meter and the normal draws out of
+    its loop; the trace must stay identical to the unhoisted loop."""
+
+    @pytest.mark.parametrize("mode", ["sample", "mean"])
+    @pytest.mark.parametrize("system", sorted(SYSTEMS))
+    def test_matches_public_call_loop(self, system, mode):
+        self.check(base_config(N=50, seed=7, mode=mode, **SYSTEMS[system]))
+
+    def test_off_dose(self):
+        cfg = base_config(N=50, k=TRANSFER_KTAU / 0.01 * 1.01, **SYSTEMS["free"])
+        assert any("timing" in w for w in check_regime(cfg))
+        self.check(cfg)
+
+    def test_explicit_period(self):
+        self.check(base_config(N=50, T=0.7, **SYSTEMS["osc"]))
+
+    @staticmethod
+    def check(cfg):
+        got = run_protocol(cfg)
+        want = reference_trace(cfg)
+        assert len(got.steps) == cfg.N
+        for a, b in zip(got.steps, want.steps):
+            assert a == b
+        assert got.to_csv().encode() == reference_csv(want).encode()
+
+
+def test_sample_mode_readings_are_standard_normal_deviates():
+    # Seed fixed before the first run and never tuned. At the exact dose the
+    # readings must be independent draws from the meter marginal, so the
+    # standardized residuals are i.i.d. N(0, 1); each bound is five standard
+    # errors of its estimator.
+    n = 10_000
+    trace = run_protocol(base_config(N=n, seed=4242, meter_variances=(1.2, 0.9)))
+    z = np.array([(s.y_reading - s.meter.mean_x) / math.sqrt(s.meter.vxx) for s in trace.steps])
+    assert abs(z.mean()) <= 5.0 / math.sqrt(n)
+    assert abs(z.var() - 1.0) <= 5.0 * math.sqrt(2.0 / n)
+    dz = z - z.mean()
+    lag1 = float(dz[:-1] @ dz[1:]) / float(dz @ dz)
+    assert abs(lag1) <= 5.0 / math.sqrt(n)
