@@ -1,12 +1,13 @@
-"""Two-sided envelopes on position/momentum variance under free evolution.
+"""Two-sided envelopes on position/momentum variance under quadratic flows.
 
-For any state with initial variances (vxx0, vpp0), the Schrödinger-Robertson
-bound |2·vxp| ≤ √(4·vxx0·vpp0 − ħ²) pins the cross term of the exact variance
-evolution, giving state-independent envelopes. Free mass:
+Each model's flow gives σ²(X(t)) = cxx·vxx0 + cpp·vpp0 + 2·cxp·vxp from its
+x-row (see quvar.gaussian), and the Schrödinger-Robertson bound
+|2·vxp| ≤ √(4·vxx0·vpp0 − ħ²) pins the cross term. One body, envelope(),
+gives the state-independent envelopes of every model (thin wrappers below):
 
-    vxx0 + (t/m)²·vpp0 ∓ (t/m)·√(4·vxx0·vpp0 − ħ²)  ≤/≥  σ²(X(t))
+    cxx·vxx0 + cpp·vpp0 ∓ |cxp|·√(4·vxx0·vpp0 − ħ²)  ≤/≥  σ²(X(t)),
 
-and analogously for the oscillator with the cos²/sin² quadrature rotation.
+with (cxx, cpp, cxp) = (1, (t/m)², t/m) for the free mass.
 The lower envelope dips below the heuristic ħt/m line (see sql_reference)
 whenever the uncertainty product exceeds its minimum: contractive states
 exist that track the lower envelope exactly (see quvar.extremal).
@@ -19,6 +20,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+
+from .gaussian import DimensionlessOscillator, FreeMass, Oscillator, SystemModel
 
 __all__ = [
     "BoundPair",
@@ -67,6 +70,24 @@ def _require_time(t: float) -> None:
         raise ValueError(f"t must be >= 0 and finite, got {t}")
 
 
+def envelope(model: SystemModel, vxx0: float, vpp0: float, t: float, hbar: float) -> BoundPair:
+    """cxx·vxx0 + cpp·vpp0 ∓ |cxp|·√(4·vxx0·vpp0 − ħ²) with the model's x-row and ħ.
+
+    Rounding dust below the model's analytic floor (ħ²/(4·vpp0) for the free
+    mass, 0 for the oscillators) is snapped up to it, but never above the
+    upper side (the floor itself can land one ulp high at minimal products).
+    """
+    _require_time(t)
+    hbar = model._hbar(hbar)
+    s = sqrt_uncertainty_excess(vxx0, vpp0, hbar)
+    cxx, cpp, cxp = model._x_row(t)
+    center = cxx * vxx0 + cpp * vpp0
+    half = abs(cxp) * s
+    upper = center + half
+    lower = min(max(center - half, model._floor(vpp0, hbar)), upper)
+    return BoundPair(lower=lower, upper=upper, t=t)
+
+
 def free_mass_bounds(vxx0: float, vpp0: float, m: float, hbar: float, t: float) -> BoundPair:
     """Envelopes on σ²(X(t)) for a free mass of mass m.
 
@@ -75,17 +96,7 @@ def free_mass_bounds(vxx0: float, vpp0: float, m: float, hbar: float, t: float) 
     t = t_M/2; the returned value is snapped to that floor when rounding
     would put it underneath.
     """
-    _require_time(t)
-    if not m > 0:
-        raise ValueError(f"m must be > 0, got {m}")
-    s = sqrt_uncertainty_excess(vxx0, vpp0, hbar)
-    u = t / m
-    base = vxx0 + u * u * vpp0
-    upper = base + u * s
-    # Snap rounding dust up to the analytic floor, but never above the upper
-    # side (the floor itself can land one ulp high at minimal products).
-    lower = min(max(base - u * s, hbar * hbar / (4.0 * vpp0)), upper)
-    return BoundPair(lower=lower, upper=upper, t=t)
+    return envelope(FreeMass(m), vxx0, vpp0, t, hbar)
 
 
 def contraction_time_free(vxx0: float, vpp0: float, m: float, hbar: float) -> float:
@@ -128,24 +139,12 @@ def oscillator_bounds_x(vxx0: float, vpp0: float, phase: float) -> BoundPair:
     cos²ωt·vxx0 + sin²ωt·vpp0 ∓ ½|sin 2ωt|·√(4·vxx0·vpp0 − 1). Variances are
     in quadrature units ([x, p] = i), so the product floor is 1/4.
     """
-    _require_time(phase)
-    s = sqrt_uncertainty_excess(vxx0, vpp0, 1.0)
-    c2 = math.cos(phase) ** 2
-    s2 = math.sin(phase) ** 2
-    half = 0.5 * abs(math.sin(2.0 * phase)) * s
-    center = c2 * vxx0 + s2 * vpp0
-    return BoundPair(lower=max(center - half, 0.0), upper=center + half, t=phase)
+    return envelope(DimensionlessOscillator(omega=1.0), vxx0, vpp0, phase, 1.0)
 
 
 def oscillator_bounds_p(vxx0: float, vpp0: float, phase: float) -> BoundPair:
-    """Envelopes on σ²(p(t)) for the dimensionless oscillator (cos²/sin² swap)."""
-    _require_time(phase)
-    s = sqrt_uncertainty_excess(vxx0, vpp0, 1.0)
-    c2 = math.cos(phase) ** 2
-    s2 = math.sin(phase) ** 2
-    half = 0.5 * abs(math.sin(2.0 * phase)) * s
-    center = s2 * vxx0 + c2 * vpp0
-    return BoundPair(lower=max(center - half, 0.0), upper=center + half, t=phase)
+    """Envelopes on σ²(p(t)) for the dimensionless oscillator: x rotated by π/2."""
+    return oscillator_bounds_x(vpp0, vxx0, phase)
 
 
 def oscillator_bounds_dimensional(
@@ -156,17 +155,9 @@ def oscillator_bounds_dimensional(
     cos²ωt·vxx0 + sin²ωt/(mω)²·vpp0 ∓ |sin 2ωt|/(2mω)·√(4·vxx0·vpp0 − ħ²).
     As ω → 0 at fixed t this converges to free_mass_bounds with O(ω²) error.
     """
-    _require_time(t)
     if not m > 0 or not omega > 0:
         raise ValueError(f"m and omega must be > 0, got m={m}, omega={omega}")
-    s = sqrt_uncertainty_excess(vxx0, vpp0, hbar)
-    th = omega * t
-    c2 = math.cos(th) ** 2
-    s2 = math.sin(th) ** 2
-    mw = m * omega
-    center = c2 * vxx0 + s2 / mw**2 * vpp0
-    half = abs(math.sin(2.0 * th)) / (2.0 * mw) * s
-    return BoundPair(lower=max(center - half, 0.0), upper=center + half, t=t)
+    return envelope(Oscillator(m, omega), vxx0, vpp0, t, hbar)
 
 
 def contraction_phase_osc(vxx0: float, vpp0: float) -> float:

@@ -21,14 +21,7 @@ import math
 import sys
 from collections.abc import Iterable
 
-from .bounds import (
-    contraction_phase_osc,
-    contraction_time_free,
-    free_mass_bounds,
-    oscillator_bounds_dimensional,
-    oscillator_bounds_x,
-    sql_reference,
-)
+from .bounds import contraction_phase_osc, contraction_time_free, envelope, sql_reference
 from .extremal import (
     ExtremalSpec,
     bogoliubov_eigenvalue,
@@ -36,7 +29,7 @@ from .extremal import (
     gaussian_from_extremal,
     squeeze_from_complex_width,
 )
-from .gaussian import DimensionlessOscillator, FreeMass, Oscillator
+from .gaussian import DimensionlessOscillator, FreeMass, Oscillator, SystemModel
 from .gridsim import GridError, sample_extremal, verify_bounds_oracle, wavefn_csv, Grid
 from .ozawa import ConfigError, OzawaConfig, check_regime, run_protocol
 
@@ -89,6 +82,21 @@ def _sign_value(sign: str) -> int:
     return 1 if sign == "+" else -1
 
 
+def _model(args) -> SystemModel:
+    if args.system == "free":
+        return FreeMass(m=args.m)
+    if args.system == "osc":
+        return Oscillator(m=args.m, omega=args.omega)
+    return DimensionlessOscillator(omega=args.omega)
+
+
+def _add_model_args(parser: argparse.ArgumentParser) -> None:
+    """The arguments _model() and the envelope inputs read (bounds, oracle)."""
+    parser.add_argument("--system", choices=["free", "osc", "osc-dimless"], default="free")
+    for name in ("--m", "--omega", "--hbar", "--vxx0", "--vpp0"):
+        parser.add_argument(name, type=float, default=1.0)
+
+
 def _cmd_bounds(args) -> int:
     if not 0 < args.t_max < math.inf:
         print("--t-max must be > 0 and finite", file=sys.stderr)
@@ -98,20 +106,12 @@ def _cmd_bounds(args) -> int:
         return EXIT_USAGE
     lines = ["t,lower,upper,sql_line"]
     try:
+        model = _model(args)
         for j in range(args.steps + 1):
             t = j * args.t_max / args.steps
-            if args.system == "free":
-                pair = free_mass_bounds(args.vxx0, args.vpp0, args.m, args.hbar, t)
-                sql = _fmt(sql_reference(args.m, args.hbar, t))
-            elif args.system == "osc":
-                pair = oscillator_bounds_dimensional(
-                    args.vxx0, args.vpp0, args.m, args.omega, args.hbar, t
-                )
-                sql = ""
-            else:  # osc-dimless
-                pair = oscillator_bounds_x(args.vxx0, args.vpp0, args.omega * t)
-                sql = ""
-            lines.append(f"{_fmt(t)},{_fmt(pair.lower)},{_fmt(pair.upper)},{sql}")
+            pair = envelope(model, args.vxx0, args.vpp0, t, args.hbar)
+            sql = f"{sql_reference(args.m, args.hbar, t):.17g}" if args.system == "free" else ""
+            lines.append(f"{t:.17g},{pair.lower:.17g},{pair.upper:.17g},{sql}")
     except ValueError as exc:
         print(str(exc), file=sys.stderr)
         return EXIT_USAGE
@@ -122,27 +122,18 @@ def _cmd_bounds(args) -> int:
 def _cmd_extremal(args) -> int:
     sign = _sign_value(args.sign)
     try:
+        hbar = args.hbar if args.system == "free" else 1.0
+        spec = ExtremalSpec.from_variances(args.vxx0, args.vpp0, hbar, sign)
+        state = gaussian_from_extremal(spec, args.mean_x, args.mean_p, hbar)
         if args.system == "free":
-            hbar = args.hbar
-            width = complex_width_from_variances(args.vxx0, args.vpp0, hbar, sign)
-            spec = ExtremalSpec(width=width, sign=sign)
-            state = gaussian_from_extremal(spec, args.mean_x, args.mean_p, hbar)
             contraction = {"t_contract": contraction_time_free(args.vxx0, args.vpp0, args.m, hbar)}
-            # Squeeze labels live in dimensionless quadratures; scale by √ħ
-            # (fictitious unit-frequency oscillator). For ħ = 1 the reported
-            # width is unchanged.
-            w_dimless = complex_width_from_variances(
-                args.vxx0 / hbar, args.vpp0 / hbar, 1.0, sign
-            )
-            alpha = complex(args.mean_x, args.mean_p) / math.sqrt(2.0 * hbar)
         else:  # osc-dimless
-            hbar = 1.0
-            width = complex_width_from_variances(args.vxx0, args.vpp0, 1.0, sign)
-            spec = ExtremalSpec(width=width, sign=sign)
-            state = gaussian_from_extremal(spec, args.mean_x, args.mean_p, 1.0)
             contraction = {"phase_contract": contraction_phase_osc(args.vxx0, args.vpp0)}
-            w_dimless = width
-            alpha = complex(args.mean_x, args.mean_p) / math.sqrt(2.0)
+        # Squeeze labels live in dimensionless quadratures; scale by √ħ
+        # (fictitious unit-frequency oscillator). For ħ = 1 the reported
+        # width is unchanged.
+        w_dimless = complex_width_from_variances(args.vxx0 / hbar, args.vpp0 / hbar, 1.0, sign)
+        alpha = complex(args.mean_x, args.mean_p) / math.sqrt(2.0 * hbar)
         r, theta = squeeze_from_complex_width(w_dimless)
         beta = bogoliubov_eigenvalue(alpha, r, theta)
     except ValueError as exc:
@@ -152,7 +143,7 @@ def _cmd_extremal(args) -> int:
         "system": args.system,
         "sign": args.sign,
         "hbar": hbar,
-        "width": width,
+        "width": spec.width,
         "state": state.to_dict(),
         **contraction,
         "squeeze": {"r": r, "theta": theta, "alpha": alpha, "beta": beta},
@@ -170,15 +161,8 @@ def _parse_times(args) -> list[float]:
 def _cmd_oracle(args) -> int:
     sign = _sign_value(args.sign)
     try:
-        if args.system == "free":
-            model = FreeMass(m=args.m)
-            hbar = args.hbar
-        elif args.system == "osc":
-            model = Oscillator(m=args.m, omega=args.omega)
-            hbar = args.hbar
-        else:
-            model = DimensionlessOscillator(omega=args.omega)
-            hbar = 1.0
+        model = _model(args)
+        hbar = model._hbar(args.hbar)
         times = _parse_times(args)
         spec = ExtremalSpec.from_variances(args.vxx0, args.vpp0, hbar, sign)
     except ValueError as exc:
@@ -257,12 +241,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     pb = sub.add_parser("bounds", help="envelope table as CSV")
-    pb.add_argument("--system", choices=["free", "osc", "osc-dimless"], default="free")
-    pb.add_argument("--m", type=float, default=1.0)
-    pb.add_argument("--omega", type=float, default=1.0)
-    pb.add_argument("--hbar", type=float, default=1.0)
-    pb.add_argument("--vxx0", type=float, default=1.0)
-    pb.add_argument("--vpp0", type=float, default=1.0)
+    _add_model_args(pb)
     pb.add_argument("--t-max", type=float, default=2.0)
     pb.add_argument("--steps", type=int, default=100)
     pb.add_argument("--output", default=None)
@@ -281,12 +260,7 @@ def build_parser() -> argparse.ArgumentParser:
     pe.set_defaults(func=_cmd_extremal)
 
     po = sub.add_parser("oracle", help="grid-oracle comparison run")
-    po.add_argument("--system", choices=["free", "osc", "osc-dimless"], default="free")
-    po.add_argument("--m", type=float, default=1.0)
-    po.add_argument("--omega", type=float, default=1.0)
-    po.add_argument("--hbar", type=float, default=1.0)
-    po.add_argument("--vxx0", type=float, default=1.0)
-    po.add_argument("--vpp0", type=float, default=1.0)
+    _add_model_args(po)
     po.add_argument("--sign", choices=["+", "-"], default="+")
     po.add_argument("--mean-x", type=float, default=0.0)
     po.add_argument("--mean-p", type=float, default=0.0)

@@ -8,14 +8,16 @@ evolve exactly through 2×2 symplectic matrices:
 
     mean → M·mean,   V → M·V·Mᵀ.
 
-Three flows are provided:
+Two flow families cover the three models:
 
-* free mass, H = P²/(2m):            M = [[1, t/m], [0, 1]]
-* oscillator, H = P²/(2m) + ½mω²X²:  M = [[cos ωt, sin ωt/(mω)],
-                                          [−mω sin ωt, cos ωt]]
-* dimensionless oscillator in quadratures x = √(mω/ħ)·X, p = P/√(mħω),
-  H = ½ħω(p² + x²):                  M = [[cos ωt, sin ωt],
-                                          [−sin ωt, cos ωt]]
+* shear, free mass H = P²/(2m):       M = [[1, t/m], [0, 1]]
+* rotation by θ = ωt at scale s:      M = [[cos θ, sin θ/s], [−s·sin θ, cos θ]]
+  for the oscillator H = P²/(2m) + ½mω²X² (s = mω) and the dimensionless
+  oscillator in quadratures x = √(mω/ħ)·X, p = P/√(mħω) (s = 1, ħ = 1).
+
+Each model class is the one source of its flow, effective ħ, envelope floor
+and x-row coefficients (cxx, cpp, cxp) = (a², b², ab) of M's first row (a, b),
+which give σ²(X(t)) = cxx·vxx + cpp·vpp + 2·cxp·vxp and the envelopes.
 
 All operations are pure functions; values are freely shareable across
 threads. Negative t is allowed everywhere here (the flows form groups).
@@ -68,7 +70,7 @@ class PhysConfig:
 
 @dataclass(frozen=True)
 class FreeMass:
-    """Free particle of mass m, H = P²/(2m)."""
+    """Free particle of mass m, H = P²/(2m). Its flow is the shear (1, t/m)."""
 
     m: float
 
@@ -76,9 +78,42 @@ class FreeMass:
         if not self.m > 0:
             raise ValueError(f"m must be > 0, got {self.m}")
 
+    def _flow(self, t: float) -> np.ndarray:
+        return np.array([[1.0, t / self.m], [0.0, 1.0]])
+
+    def _x_row(self, t: float) -> tuple[float, float, float]:
+        u = t / self.m
+        return 1.0, u * u, u
+
+    def _hbar(self, hbar: float) -> float:
+        return hbar
+
+    def _floor(self, vpp0: float, hbar: float) -> float:
+        # P is conserved, so σ²(X(t))·vpp0 ≥ ħ²/4 at every t.
+        return hbar * hbar / (4.0 * vpp0)
+
+
+class _Rotation:
+    """Oscillator flow: rotation by θ = ωt of (x, p/s), s = self._scale = mω."""
+
+    def _flow(self, t: float) -> np.ndarray:
+        th, mw = self.omega * t, self._scale
+        c, s = math.cos(th), math.sin(th)
+        return np.array([[c, s / mw], [-mw * s, c]])
+
+    def _x_row(self, t: float) -> tuple[float, float, float]:
+        th, mw = self.omega * t, self._scale
+        return math.cos(th) ** 2, math.sin(th) ** 2 / mw**2, math.sin(2.0 * th) / (2.0 * mw)
+
+    def _hbar(self, hbar: float) -> float:
+        return hbar
+
+    def _floor(self, vpp0: float, hbar: float) -> float:
+        return 0.0
+
 
 @dataclass(frozen=True)
-class Oscillator:
+class Oscillator(_Rotation):
     """Harmonic oscillator in dimensional variables, H = P²/(2m) + ½mω²X²."""
 
     m: float
@@ -89,10 +124,12 @@ class Oscillator:
             raise ValueError(f"m must be > 0, got {self.m}")
         if not self.omega > 0:
             raise ValueError(f"omega must be > 0, got {self.omega}")
+        # Not a field: read once per envelope row, so stored rather than a property.
+        object.__setattr__(self, "_scale", self.m * self.omega)
 
 
 @dataclass(frozen=True)
-class DimensionlessOscillator:
+class DimensionlessOscillator(_Rotation):
     """Oscillator in quadratures x = √(mω/ħ)·X, p = P/√(mħω).
 
     The quadratures obey [x, p] = i, so ħ = 1 is fixed internally; any
@@ -101,10 +138,14 @@ class DimensionlessOscillator:
     """
 
     omega: float
+    _scale = 1.0
 
     def __post_init__(self) -> None:
         if self.omega < 0:
             raise ValueError(f"omega must be >= 0, got {self.omega}")
+
+    def _hbar(self, hbar: float) -> float:
+        return 1.0
 
 
 SystemModel = Union[FreeMass, Oscillator, DimensionlessOscillator]
@@ -175,16 +216,21 @@ class ValidationReport:
 
 
 def validate_state(state: GaussianState, config: PhysConfig = PhysConfig()) -> ValidationReport:
-    """Check positivity and the Schrödinger-Robertson uncertainty bound.
+    """Check finiteness, positivity and the Schrödinger-Robertson uncertainty bound.
 
-    The state is accepted iff vxx > 0, vpp > 0 and
-    vxx·vpp − vxp² ≥ ħ²/4 − SR_MARGIN_TOL·max(ħ², vxx·vpp). The tolerance
+    The state is accepted iff all five moments are finite, vxx > 0, vpp > 0
+    and vxx·vpp − vxp² ≥ ħ²/4 − SR_MARGIN_TOL·max(ħ², vxx·vpp). The tolerance
     scales with the variance product so that exactly-saturating states, and
     their images under the exact flows, still validate at any scale. Each
-    violation message names the failing inequality and its margin.
+    violation message names the failing field or inequality and its value.
     """
     hb2 = config.hbar**2
     violations = []
+    # A finite sum proves every moment finite; only otherwise are they named.
+    if not math.isfinite(state.mean_x + state.mean_p + state.vxx + state.vpp + state.vxp):
+        violations = [
+            f"{k} must be finite, got {v}" for k, v in vars(state).items() if not math.isfinite(v)
+        ]
     if not state.vxx > 0:
         violations.append(f"vxx > 0 violated: vxx = {state.vxx}")
     if not state.vpp > 0:
@@ -198,11 +244,13 @@ def validate_state(state: GaussianState, config: PhysConfig = PhysConfig()) -> V
     return ValidationReport(ok=not violations, violations=tuple(violations), sr_margin=margin)
 
 
-def _validation_config(model: SystemModel, config: PhysConfig) -> PhysConfig:
-    # Dimensionless quadratures carry [x, p] = i regardless of config.hbar.
-    if isinstance(model, DimensionlessOscillator):
-        return PhysConfig(hbar=1.0)
-    return config
+def _require_valid(state: GaussianState, model: SystemModel, config: PhysConfig) -> None:
+    hbar = model._hbar(config.hbar)
+    # Reuse config when the model keeps its ħ: evolve() runs once per protocol
+    # round, and a PhysConfig allocated on every call raised the run's peak RSS.
+    report = validate_state(state, config if hbar == config.hbar else PhysConfig(hbar))
+    if not report.ok:
+        raise StateValidationError("; ".join(report.violations))
 
 
 def flow_map(model: SystemModel, t: float) -> np.ndarray:
@@ -211,18 +259,7 @@ def flow_map(model: SystemModel, t: float) -> np.ndarray:
     det = 1 holds exactly up to rounding for every model; negative t gives
     the inverse flow.
     """
-    if isinstance(model, FreeMass):
-        return np.array([[1.0, t / model.m], [0.0, 1.0]])
-    if isinstance(model, Oscillator):
-        th = model.omega * t
-        c, s = math.cos(th), math.sin(th)
-        mw = model.m * model.omega
-        return np.array([[c, s / mw], [-mw * s, c]])
-    if isinstance(model, DimensionlessOscillator):
-        th = model.omega * t
-        c, s = math.cos(th), math.sin(th)
-        return np.array([[c, s], [-s, c]])
-    raise TypeError(f"unknown system model: {model!r}")
+    return model._flow(t)
 
 
 def evolve(
@@ -239,10 +276,8 @@ def evolve(
 
     Raises StateValidationError if the input state is invalid.
     """
-    report = validate_state(state, _validation_config(model, config))
-    if not report.ok:
-        raise StateValidationError("; ".join(report.violations))
-    M = flow_map(model, t)
+    _require_valid(state, model, config)
+    M = model._flow(t)
     mean = M @ state.mean
     cov = M @ state.cov @ M.T
     return GaussianState.from_moments(mean, cov)
@@ -254,28 +289,15 @@ def variance_x_closed_form(
     t: float,
     config: PhysConfig = PhysConfig(),
 ) -> float:
-    """σ²(X(t)) by direct closed-form evaluation.
+    """σ²(X(t)) by direct closed-form evaluation, cxx·vxx + cpp·vpp + 2·cxp·vxp.
 
-    Free mass:      vxx + 2(t/m)·vxp + (t/m)²·vpp
+    Free mass:      vxx + (t/m)²·vpp + 2(t/m)·vxp
     Oscillator:     cos²ωt·vxx + sin²ωt/(mω)²·vpp + sin 2ωt/(mω)·vxp
-    Dimensionless:  cos²ωt·vxx + sin²ωt·vpp + sin 2ωt·vxp
+    Dimensionless:  the oscillator with mω = 1
 
     Redundant with evolve(...).vxx (agrees to ~1e−12 relative); kept as an
     independent cross-check path.
     """
-    report = validate_state(state, _validation_config(model, config))
-    if not report.ok:
-        raise StateValidationError("; ".join(report.violations))
-    if isinstance(model, FreeMass):
-        u = t / model.m
-        return state.vxx + 2.0 * u * state.vxp + u * u * state.vpp
-    if isinstance(model, Oscillator):
-        th = model.omega * t
-        c2, s2 = math.cos(th) ** 2, math.sin(th) ** 2
-        mw = model.m * model.omega
-        return c2 * state.vxx + s2 / mw**2 * state.vpp + math.sin(2.0 * th) / mw * state.vxp
-    if isinstance(model, DimensionlessOscillator):
-        th = model.omega * t
-        c2, s2 = math.cos(th) ** 2, math.sin(th) ** 2
-        return c2 * state.vxx + s2 * state.vpp + math.sin(2.0 * th) * state.vxp
-    raise TypeError(f"unknown system model: {model!r}")
+    _require_valid(state, model, config)
+    cxx, cpp, cxp = model._x_row(t)
+    return cxx * state.vxx + cpp * state.vpp + 2.0 * cxp * state.vxp

@@ -29,18 +29,12 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .bounds import (
-    free_mass_bounds,
-    oscillator_bounds_dimensional,
-    oscillator_bounds_x,
-    sqrt_uncertainty_excess,
-)
-from .extremal import ExtremalSpec, variances_from_complex_width
+from .bounds import envelope
+from .extremal import ExtremalSpec, gaussian_from_extremal
 from .gaussian import (
     DimensionlessOscillator,
     FreeMass,
     GaussianState,
-    Oscillator,
     PhysConfig,
     SystemModel,
     evolve,
@@ -348,15 +342,13 @@ def propagate_osc_exact(psi: WaveFn, m: float, omega: float, t: float) -> WaveFn
 def _propagate(psi: WaveFn, model: SystemModel, t: float, n_steps: Optional[int]) -> WaveFn:
     if isinstance(model, FreeMass):
         return propagate_free(psi, model.m, t)
-    if isinstance(model, Oscillator):
-        m, omega = model.m, model.omega
-    elif isinstance(model, DimensionlessOscillator):
+    if isinstance(model, DimensionlessOscillator):
         if model.omega == 0.0 or t == 0.0:
             return WaveFn(grid=psi.grid, amps=psi.amps.copy(), hbar=psi.hbar)
         # i∂ψ/∂t = ½ω(−∂² + x²)ψ is an oscillator with m_eff = 1/ω, ω_eff = ω.
         m, omega = 1.0 / model.omega, model.omega
     else:
-        raise TypeError(f"unknown system model: {model!r}")
+        m, omega = model.m, model.omega
     if n_steps is None:
         return propagate_osc_exact(psi, m, omega, t)
     return propagate_osc(psi, m, omega, t, n_steps)
@@ -373,43 +365,6 @@ def _spec_from_state(state: GaussianState, hbar: float) -> ExtremalSpec:
         )
     width = complex(hbar / (2.0 * state.vxx), -state.vxp / state.vxx)
     return ExtremalSpec(width=width, sign=1 if state.vxp <= 0 else -1)
-
-
-def _extremal_variance_x(
-    model: SystemModel, vxx0: float, vpp0: float, sign: int, t: float, hbar: float
-) -> float:
-    """σ²(X(t)) of the saturating state, evaluated via the envelope formulas."""
-    if isinstance(model, FreeMass):
-        pair = free_mass_bounds(vxx0, vpp0, model.m, hbar, t)
-        return pair.lower if sign > 0 else pair.upper
-    if isinstance(model, DimensionlessOscillator):
-        th = model.omega * t
-        s = sqrt_uncertainty_excess(vxx0, vpp0, 1.0)
-        return (
-            math.cos(th) ** 2 * vxx0
-            + math.sin(th) ** 2 * vpp0
-            - sign * 0.5 * math.sin(2.0 * th) * s
-        )
-    if isinstance(model, Oscillator):
-        th = model.omega * t
-        s = sqrt_uncertainty_excess(vxx0, vpp0, hbar)
-        mw = model.m * model.omega
-        return (
-            math.cos(th) ** 2 * vxx0
-            + math.sin(th) ** 2 / mw**2 * vpp0
-            - sign * math.sin(2.0 * th) / (2.0 * mw) * s
-        )
-    raise TypeError(f"unknown system model: {model!r}")
-
-
-def _envelope_upper(model: SystemModel, vxx0: float, vpp0: float, t: float, hbar: float) -> float:
-    if isinstance(model, FreeMass):
-        return free_mass_bounds(vxx0, vpp0, model.m, hbar, t).upper
-    if isinstance(model, DimensionlessOscillator):
-        return oscillator_bounds_x(vxx0, vpp0, model.omega * t).upper
-    if isinstance(model, Oscillator):
-        return oscillator_bounds_dimensional(vxx0, vpp0, model.m, model.omega, hbar, t).upper
-    raise TypeError(f"unknown system model: {model!r}")
 
 
 @dataclass(frozen=True)
@@ -464,17 +419,13 @@ def verify_bounds_oracle(
     exact chirp–FFT–chirp factorization by default; an integer n_steps
     selects the symmetric split step with that many steps instead.
     """
-    if isinstance(model, DimensionlessOscillator):
-        hbar = 1.0
+    hbar = model._hbar(hbar)
     if isinstance(target, GaussianState):
         spec = _spec_from_state(target, hbar)
         mean_x, mean_p = target.mean_x, target.mean_p
     else:
         spec = target
-    vxx0, vpp0 = variances_from_complex_width(spec.width, hbar)
-    state0 = GaussianState(
-        mean_x=mean_x, mean_p=mean_p, vxx=vxx0, vpp=vpp0, vxp=-spec.width.imag * vxx0
-    )
+    state0 = gaussian_from_extremal(spec, mean_x, mean_p, hbar)
 
     times = [float(t) for t in times]
     if not times:
@@ -485,7 +436,7 @@ def verify_bounds_oracle(
     lo, hi = math.inf, -math.inf
     for t in [0.0, *times]:
         m_t = float((flow_map(model, t) @ state0.mean)[0])
-        sig = math.sqrt(_envelope_upper(model, state0.vxx, state0.vpp, t, hbar))
+        sig = math.sqrt(envelope(model, state0.vxx, state0.vpp, t, hbar).upper)
         lo = min(lo, m_t - domain_sigmas * sig)
         hi = max(hi, m_t + domain_sigmas * sig)
     grid = Grid(x_min=lo, x_max=hi, n=n)
@@ -503,7 +454,9 @@ def verify_bounds_oracle(
             abs(got.vpp - want.vpp),
             abs(got.vxp - want.vxp),
         )
-        env = _extremal_variance_x(model, state0.vxx, state0.vpp, spec.sign, t, hbar)
+        # The saturating state rides the lower side while sign·cxp ≥ 0.
+        pair = envelope(model, state0.vxx, state0.vpp, t, hbar)
+        env = pair.lower if spec.sign * model._x_row(t)[2] >= 0 else pair.upper
         rows.append(OracleRow(t=t, moment_dev=moment_dev, envelope_dev=abs(got.vxx - env)))
 
     max_m = max(r.moment_dev for r in rows)

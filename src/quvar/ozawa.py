@@ -29,7 +29,7 @@ variance from ever exceeding the meter's.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Iterator, Optional
 
 import numpy as np
@@ -263,8 +263,10 @@ class OzawaConfig:
                 raise ConfigError(name, f"must be finite, got {value}")
         if not self.hbar > 0:
             raise ConfigError("hbar", f"must be > 0, got {self.hbar}")
-        if isinstance(self.system, DimensionlessOscillator) and self.hbar != 1.0:
+        if self.system._hbar(self.hbar) != self.hbar:
             raise ConfigError("hbar", "must be 1 for a dimensionless oscillator system")
+        if self.seed < 0:
+            raise ConfigError("seed", f"must be >= 0, got {self.seed}")
         if not self.k > 0:
             raise ConfigError("k", f"must be > 0, got {self.k}")
         if not self.tau > 0:
@@ -280,7 +282,7 @@ class OzawaConfig:
             raise ConfigError(
                 "meter_variances", f"must be positive, got ({vyy0}, {vpp_y0})"
             )
-        hb = self._hbar_eff()
+        hb = self.hbar
         if vyy0 * vpp_y0 < 0.25 * hb * hb * (1.0 - 1e-12):
             raise ConfigError(
                 "meter_variances",
@@ -301,20 +303,16 @@ class OzawaConfig:
         if self.T is not None:
             yield "T", self.T
         yield from zip(("meter_variances.vyy0", "meter_variances.vpp_y0"), self.meter_variances)
-        for name, value in vars(self.system).items():
+        for name, value in asdict(self.system).items():
             yield f"system.{name}", value
         for name, value in self.initial_system.to_dict().items():
             yield f"initial_system.{name}", value
-
-    def _hbar_eff(self) -> float:
-        return 1.0 if isinstance(self.system, DimensionlessOscillator) else self.hbar
 
     def meter_state(self) -> GaussianState:
         """Contractive meter preparation: ⟨y⟩ = ⟨p_y⟩ = 0 and
         vxp = −½√(4·vyy0·vpp_y0 − ħ²) (lower-envelope side)."""
         vyy0, vpp_y0 = self.meter_variances
-        hb = self._hbar_eff()
-        vxp = -0.5 * math.sqrt(max(4.0 * vyy0 * vpp_y0 - hb * hb, 0.0))
+        vxp = -0.5 * math.sqrt(max(4.0 * vyy0 * vpp_y0 - self.hbar * self.hbar, 0.0))
         return GaussianState(mean_x=0.0, mean_p=0.0, vxx=vyy0, vpp=vpp_y0, vxp=vxp)
 
     def contraction_horizon(self) -> float:
@@ -322,14 +320,13 @@ class OzawaConfig:
         vyy0, vpp_y0 = self.meter_variances
         if isinstance(self.system, FreeMass):
             return contraction_time_free(vyy0, vpp_y0, self.system.m, self.hbar)
-        if isinstance(self.system, Oscillator):
-            scale = self.system.m * self.system.omega
-            v_x = vyy0 * scale / self.hbar
-            v_p = vpp_y0 / (scale * self.hbar)
-            return contraction_phase_osc(v_x, v_p) / self.system.omega
         if self.system.omega == 0.0:
             raise ConfigError("system", "auto schedule undefined for omega = 0")
-        return contraction_phase_osc(vyy0, vpp_y0) / self.system.omega
+        # Rotation: the horizon is a phase of the quadratures x = √(s/ħ)·X.
+        scale = self.system._scale
+        v_x = vyy0 * scale / self.hbar
+        v_p = vpp_y0 / (scale * self.hbar)
+        return contraction_phase_osc(v_x, v_p) / self.system.omega
 
     def period(self) -> float:
         """Measurement period T; auto mode sets T − τ to the horizon."""
@@ -525,7 +522,7 @@ def run_protocol(config: OzawaConfig, strict: bool = False) -> ProtocolTrace:
     warnings = check_regime(config)
     if strict and warnings:
         raise RegimeError("; ".join(warnings))
-    pconf = PhysConfig(config._hbar_eff())
+    pconf = PhysConfig(config.hbar)
     period = config.period()
     wait = period - config.tau
     timing_exact = abs(config.k * config.tau - TRANSFER_KTAU) <= 1e-9 * TRANSFER_KTAU

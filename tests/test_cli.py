@@ -85,6 +85,14 @@ class TestBounds:
         _, out2, _ = run_cli(capsys, "bounds", "--steps", "11")
         assert out1 == out2
 
+    def test_negative_dimensionless_omega_names_omega(self, capsys):
+        # The model is built before the first row, so the error names omega
+        # rather than the phase omega*t it would produce.
+        code, out, err = run_cli(capsys, "bounds", "--system", "osc-dimless", "--omega", "-1")
+        assert code == 2
+        assert out == ""
+        assert err == "omega must be >= 0, got -1.0\n"
+
 
 class TestExtremal:
     def test_dimensionless_reference_record(self, capsys):
@@ -314,3 +322,13 @@ class TestOzawa:
         code, _, err = run_cli(capsys, "ozawa", "--config", str(path))
         assert code == 2
         assert "horizon" in err
+
+    def test_negative_seed_exits_2(self, capsys, tmp_path):
+        raw = json.loads(open(REFERENCE_CONFIG).read())
+        raw["seed"] = -1
+        path = tmp_path / "negative_seed.json"
+        path.write_text(json.dumps(raw))
+        code, out, err = run_cli(capsys, "ozawa", "--config", str(path))
+        assert code == 2
+        assert out == ""
+        assert err == "invalid config: seed: must be >= 0, got -1\n"

@@ -183,3 +183,15 @@ class TestFlowProperties:
         out = evolve(s, model, t)
         assert out.vxx > 0
         assert out.vpp > 0
+
+
+class TestNonFiniteMoments:
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+    @pytest.mark.parametrize("field", ["mean_x", "mean_p", "vxx", "vpp", "vxp"])
+    def test_violation_names_the_field_and_evolve_raises(self, field, value):
+        state = GaussianState(**{**GaussianState().to_dict(), field: value})
+        report = validate_state(state)
+        assert not report.ok
+        assert f"{field} must be finite, got {value}" in report.violations
+        with pytest.raises(StateValidationError, match=f"{field} must be finite"):
+            evolve(state, FreeMass(m=1.0), 0.5)

@@ -332,6 +332,7 @@ class TestConfig:
             (dict(meter_variances=(math.inf, 1.0)), "meter_variances.vyy0"),
             (dict(system=FreeMass(m=math.inf)), "system.m"),
             (dict(initial_system=contractive(1.0, 1.0, mean_x=math.nan)), "initial_system.mean_x"),
+            (dict(seed=-1), "seed"),
         ],
     )
     def test_violations_name_the_field(self, overrides, field):
