@@ -19,6 +19,9 @@ Free evolution is exact up to discretization (pure momentum-space phase).
 So is the oscillator (chirp–FFT–chirp, coefficients from the Hamiltonian,
 never from the closed-form flow it checks); the symmetric split step, second
 order in t/n_steps, runs on request. All preserve the norm to rounding.
+The public propagate_* check the input's momentum resolution, run an
+unchecked core and check the result's 8σ window and norm. The oracle checks
+its ψ0 once per run; each time then costs one propagation and one moments().
 """
 
 from __future__ import annotations
@@ -134,6 +137,14 @@ def quadrature_norm(psi: WaveFn) -> float:
     return float(np.trapezoid(np.abs(psi.amps) ** 2, dx=psi.grid.dx))
 
 
+def _gaussian_amps(x: np.ndarray, width: complex, mean_x: float, mean_p: float, hbar: float):
+    """(Re w/(πħ))^¼ exp(i⟨P⟩x/ħ − w(x−⟨X⟩)²/(2ħ)) at the points x."""
+    dev = x - mean_x
+    return (width.real / (math.pi * hbar)) ** 0.25 * np.exp(
+        1j * mean_p * x / hbar - width * dev * dev / (2.0 * hbar)
+    )
+
+
 def sample_gaussian(
     width: complex,
     mean_x: float,
@@ -160,15 +171,13 @@ def sample_gaussian(
     sigma_p = math.sqrt(hbar * abs(width) ** 2 / (2.0 * width.real))
     limit = math.pi * hbar / (abs(mean_p) + 6.0 * sigma_p)
     if not grid.dx < limit:
+        n_min = next((2**k for k in range(1, 64) if grid.length / 2**k < limit), None)
         raise AliasingError(
             f"dx = {grid.dx:.3g} cannot represent mean_p = {mean_p:g} with "
-            f"σP = {sigma_p:.3g} (need dx < πħ/(|⟨P⟩| + 6σP) = {limit:.3g})"
+            f"σP = {sigma_p:.3g} (need dx < πħ/(|⟨P⟩| + 6σP) = {limit:.3g}"
+            + (f"; n >= {n_min} on this domain)" if n_min else ")")
         )
-    x = grid.points()
-    dev = x - mean_x
-    amps = (width.real / (math.pi * hbar)) ** 0.25 * np.exp(
-        1j * mean_p * x / hbar - width * dev * dev / (2.0 * hbar)
-    )
+    amps = _gaussian_amps(grid.points(), width, mean_x, mean_p, hbar)
     psi = WaveFn(grid=grid, amps=amps, hbar=hbar)
     norm = quadrature_norm(psi)
     if abs(norm - 1.0) > 1e-8:
@@ -221,23 +230,32 @@ def moments(psi: WaveFn, check_norm: bool = True) -> Moments:
     return Moments(norm=norm, mean_x=mean_x, mean_p=mean_p, vxx=vxx, vpp=vpp, vxp=vxp)
 
 
-def _check_momentum_resolution(psi: WaveFn, mom: Moments) -> None:
-    sigma_p = math.sqrt(mom.vpp)
-    limit = math.pi * psi.hbar / (abs(mom.mean_p) + 6.0 * sigma_p)
+def _check_input(psi: WaveFn, mw: Optional[float] = None) -> None:
+    """Is ψ's momentum support resolved, and with mω given, the chirped one?"""
+    mom = moments(psi)
+    limit = math.pi * psi.hbar / (abs(mom.mean_p) + 6.0 * math.sqrt(mom.vpp))
     if not psi.grid.dx < limit:
         raise AliasingError(
             f"dx = {psi.grid.dx:.3g} does not resolve the momentum support "
             f"(need dx < πħ/(|⟨P⟩| + 6σP) = {limit:.3g})"
         )
+    if mw is None:
+        return
+    # The chirp adds c·x to the momentum with |c| <= mω. Mean and spread of
+    # P − cX are bounded by the conserved ⟨P⟩² + (mω⟨X⟩)² and vpp + (mω)²vxx.
+    limit = math.pi * psi.hbar / (
+        math.sqrt(2.0) * math.hypot(mom.mean_p, mw * mom.mean_x)
+        + 6.0 * math.sqrt(2.0 * (mom.vpp + mw * mw * mom.vxx))
+    )
+    if not psi.grid.dx < limit:
+        raise AliasingError(
+            f"dx = {psi.grid.dx:.3g} does not resolve the chirped intermediate (need {limit:.3g})"
+        )
 
 
-def _check_result(psi: WaveFn) -> None:
-    mom = moments(psi, check_norm=False)
+def _check_result(psi: WaveFn, mom: Moments) -> None:
     sigma_x = math.sqrt(mom.vxx)
-    if (
-        mom.mean_x - 8.0 * sigma_x < psi.grid.x_min
-        or mom.mean_x + 8.0 * sigma_x > psi.grid.x_max
-    ):
+    if mom.mean_x - 8.0 * sigma_x < psi.grid.x_min or mom.mean_x + 8.0 * sigma_x > psi.grid.x_max:
         raise AliasingError(
             f"spreading exceeds domain: mean_x ± 8σ = {mom.mean_x:g} ± "
             f"{8.0 * sigma_x:g} leaves [{psi.grid.x_min:g}, {psi.grid.x_max:g}]"
@@ -249,6 +267,18 @@ def _check_result(psi: WaveFn) -> None:
         )
 
 
+def _checked(out: WaveFn) -> WaveFn:
+    _check_result(out, moments(out, check_norm=False))
+    return out
+
+
+def _free(psi: WaveFn, m: float, t: float) -> WaveFn:
+    p = psi.grid.momenta(psi.hbar)
+    phi = np.fft.fft(psi.amps)
+    phi *= np.exp(-1j * p * p * t / (2.0 * m * psi.hbar))
+    return WaveFn(grid=psi.grid, amps=np.fft.ifft(phi), hbar=psi.hbar)
+
+
 def propagate_free(psi: WaveFn, m: float, t: float) -> WaveFn:
     """Free evolution: multiply exp(−i p² t/(2mħ)) in momentum space.
 
@@ -258,13 +288,8 @@ def propagate_free(psi: WaveFn, m: float, t: float) -> WaveFn:
     """
     if not m > 0:
         raise ValueError(f"m must be > 0, got {m}")
-    _check_momentum_resolution(psi, moments(psi))
-    p = psi.grid.momenta(psi.hbar)
-    phi = np.fft.fft(psi.amps)
-    phi *= np.exp(-1j * p * p * t / (2.0 * m * psi.hbar))
-    out = WaveFn(grid=psi.grid, amps=np.fft.ifft(phi), hbar=psi.hbar)
-    _check_result(out)
-    return out
+    _check_input(psi)
+    return _checked(_free(psi, m, t))
 
 
 def _chirp_kick_chirp(psi: WaveFn, chirp: np.ndarray, kick: np.ndarray, n_steps: int) -> WaveFn:
@@ -275,10 +300,16 @@ def _chirp_kick_chirp(psi: WaveFn, chirp: np.ndarray, kick: np.ndarray, n_steps:
         a = np.fft.ifft(kick * np.fft.fft(a))
         if step < n_steps - 1:
             a = a * full
-    a = a * chirp
-    out = WaveFn(grid=psi.grid, amps=a, hbar=psi.hbar)
-    _check_result(out)
-    return out
+    return WaveFn(grid=psi.grid, amps=a * chirp, hbar=psi.hbar)
+
+
+def _split(psi: WaveFn, m: float, omega: float, t: float, n_steps: int) -> WaveFn:
+    dt = t / n_steps
+    x = psi.grid.points()
+    p = psi.grid.momenta(psi.hbar)
+    half_v = np.exp(-1j * m * omega * omega * x * x * dt / (4.0 * psi.hbar))
+    kinetic = np.exp(-1j * p * p * dt / (2.0 * m * psi.hbar))
+    return _chirp_kick_chirp(psi, half_v, kinetic, n_steps)
 
 
 def propagate_osc(psi: WaveFn, m: float, omega: float, t: float, n_steps: int) -> WaveFn:
@@ -294,13 +325,20 @@ def propagate_osc(psi: WaveFn, m: float, omega: float, t: float, n_steps: int) -
         raise ValueError(f"omega must be >= 0, got {omega}")
     if n_steps < 1:
         raise ValueError(f"n_steps must be >= 1, got {n_steps}")
-    _check_momentum_resolution(psi, moments(psi))
-    dt = t / n_steps
+    _check_input(psi)
+    return _checked(_split(psi, m, omega, t, n_steps))
+
+
+def _exact(psi: WaveFn, m: float, omega: float, t: float) -> WaveFn:
+    theta = math.remainder(omega * t, 2.0 * math.pi)
+    k = max(1, math.ceil(abs(theta) / (0.5 * math.pi)))
+    theta_k = theta / k
+    mw = m * omega
     x = psi.grid.points()
     p = psi.grid.momenta(psi.hbar)
-    half_v = np.exp(-1j * m * omega * omega * x * x * dt / (4.0 * psi.hbar))
-    kinetic = np.exp(-1j * p * p * dt / (2.0 * m * psi.hbar))
-    return _chirp_kick_chirp(psi, half_v, kinetic, n_steps)
+    chirp = np.exp(-1j * math.tan(0.5 * theta_k) * mw * x * x / (2.0 * psi.hbar))
+    kick = np.exp(-1j * math.sin(theta_k) * p * p / (2.0 * mw * psi.hbar))
+    return _chirp_kick_chirp(psi, chirp, kick, k)
 
 
 def propagate_osc_exact(psi: WaveFn, m: float, omega: float, t: float) -> WaveFn:
@@ -316,42 +354,34 @@ def propagate_osc_exact(psi: WaveFn, m: float, omega: float, t: float) -> WaveFn
     """
     if not (m > 0 and omega > 0):
         raise ValueError(f"m and omega must be > 0, got m={m}, omega={omega}")
-    mom = moments(psi)
-    _check_momentum_resolution(psi, mom)
-    # The chirp adds c·x to the momentum with |c| <= mω. Mean and spread of
-    # P − cX are bounded by the conserved ⟨P⟩² + (mω⟨X⟩)² and vpp + (mω)²vxx.
-    mw = m * omega
-    limit = math.pi * psi.hbar / (
-        math.sqrt(2.0) * math.hypot(mom.mean_p, mw * mom.mean_x)
-        + 6.0 * math.sqrt(2.0 * (mom.vpp + mw * mw * mom.vxx))
-    )
-    if not psi.grid.dx < limit:
-        raise AliasingError(
-            f"dx = {psi.grid.dx:.3g} does not resolve the chirped intermediate (need {limit:.3g})"
-        )
-    theta = math.remainder(omega * t, 2.0 * math.pi)
-    k = max(1, math.ceil(abs(theta) / (0.5 * math.pi)))
-    theta_k = theta / k
-    x = psi.grid.points()
-    p = psi.grid.momenta(psi.hbar)
-    chirp = np.exp(-1j * math.tan(0.5 * theta_k) * mw * x * x / (2.0 * psi.hbar))
-    kick = np.exp(-1j * math.sin(theta_k) * p * p / (2.0 * mw * psi.hbar))
-    return _chirp_kick_chirp(psi, chirp, kick, k)
+    _check_input(psi, m * omega)
+    return _checked(_exact(psi, m, omega, t))
 
 
-def _propagate(psi: WaveFn, model: SystemModel, t: float, n_steps: Optional[int]) -> WaveFn:
+def _route(model: SystemModel, t: float, n_steps: Optional[int]):
+    """(core, args): _propagate runs core(ψ, *args); core None copies ψ."""
     if isinstance(model, FreeMass):
-        return propagate_free(psi, model.m, t)
+        return _free, (model.m, t)
     if isinstance(model, DimensionlessOscillator):
         if model.omega == 0.0 or t == 0.0:
-            return WaveFn(grid=psi.grid, amps=psi.amps.copy(), hbar=psi.hbar)
+            return None, ()
         # i∂ψ/∂t = ½ω(−∂² + x²)ψ is an oscillator with m_eff = 1/ω, ω_eff = ω.
         m, omega = 1.0 / model.omega, model.omega
     else:
         m, omega = model.m, model.omega
     if n_steps is None:
-        return propagate_osc_exact(psi, m, omega, t)
-    return propagate_osc(psi, m, omega, t, n_steps)
+        return _exact, (m, omega, t)
+    if n_steps < 1:
+        raise ValueError(f"n_steps must be >= 1, got {n_steps}")
+    return _split, (m, omega, t, n_steps)
+
+
+def _propagate(psi: WaveFn, model: SystemModel, t: float, n_steps: Optional[int]) -> WaveFn:
+    """Unchecked: the oracle runs the input checks once and the result check per time."""
+    core, args = _route(model, t, n_steps)
+    if core is None:
+        return WaveFn(grid=psi.grid, amps=psi.amps.copy(), hbar=psi.hbar)
+    return core(psi, *args)
 
 
 def _spec_from_state(state: GaussianState, hbar: float) -> ExtremalSpec:
@@ -417,7 +447,9 @@ def verify_bounds_oracle(
     target: passing a GaussianState requires a saturated SR margin (a mixed
     covariance has no single wavefunction). Oscillators propagate with the
     exact chirp–FFT–chirp factorization by default; an integer n_steps
-    selects the symmetric split step with that many steps instead.
+    selects the symmetric split step with that many steps instead. The input
+    checks run once on ψ0; per time the cost is one propagation and one
+    moments(), whose values the result check reuses.
     """
     hbar = model._hbar(hbar)
     if isinstance(target, GaussianState):
@@ -441,19 +473,19 @@ def verify_bounds_oracle(
         hi = max(hi, m_t + domain_sigmas * sig)
     grid = Grid(x_min=lo, x_max=hi, n=n)
     psi0 = sample_extremal(spec, mean_x, mean_p, grid, hbar)
+    # Every time starts from ψ0: check it once, as the first propagator run would.
+    routes = [_route(model, t, n_steps) for t in times]
+    core, args = next((r for r in routes if r[0] is not None), (None, ()))
+    if core is not None:
+        _check_input(psi0, args[0] * args[1] if core is _exact else None)
 
     rows = []
     for t in times:
         psi_t = _propagate(psi0, model, t, n_steps)
         got = moments(psi_t)
+        _check_result(psi_t, got)
         want = evolve(state0, model, t, config)
-        moment_dev = max(
-            abs(got.mean_x - want.mean_x),
-            abs(got.mean_p - want.mean_p),
-            abs(got.vxx - want.vxx),
-            abs(got.vpp - want.vpp),
-            abs(got.vxp - want.vxp),
-        )
+        moment_dev = max(abs(getattr(got, f) - v) for f, v in vars(want).items())
         # The saturating state rides the lower side while sign·cxp ≥ 0.
         pair = envelope(model, state0.vxx, state0.vpp, t, hbar)
         env = pair.lower if spec.sign * model._x_row(t)[2] >= 0 else pair.upper

@@ -29,7 +29,7 @@ variance from ever exceeding the meter's.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from typing import Iterator, Optional
 
 import numpy as np
@@ -45,7 +45,7 @@ from .gaussian import (
     evolve,
     validate_state,
 )
-from .gridsim import Grid, WaveFn
+from .gridsim import Grid, WaveFn, _gaussian_amps
 
 __all__ = [
     "TRANSFER_KTAU",
@@ -171,26 +171,20 @@ def _couple(
     return TwoModeGaussian(mean=mean, cov=cov)
 
 
+def _marginal(joint: TwoModeGaussian, i: int) -> GaussianState:
+    """The (mean_x, mean_p, vxx, vpp, vxp) of the mode at rows i, i + 1."""
+    j, m, c = i + 1, joint.mean, joint.cov
+    return GaussianState(float(m[i]), float(m[j]), float(c[i, i]), float(c[j, j]), float(c[i, j]))
+
+
 def meter_marginal(joint: TwoModeGaussian) -> GaussianState:
     """(y, p_y) marginal by block extraction."""
-    return GaussianState(
-        mean_x=float(joint.mean[2]),
-        mean_p=float(joint.mean[3]),
-        vxx=float(joint.cov[2, 2]),
-        vpp=float(joint.cov[3, 3]),
-        vxp=float(joint.cov[2, 3]),
-    )
+    return _marginal(joint, 2)
 
 
 def system_marginal(joint: TwoModeGaussian) -> GaussianState:
     """(x, p_x) marginal by block extraction."""
-    return GaussianState(
-        mean_x=float(joint.mean[0]),
-        mean_p=float(joint.mean[1]),
-        vxx=float(joint.cov[0, 0]),
-        vpp=float(joint.cov[1, 1]),
-        vxp=float(joint.cov[0, 1]),
-    )
+    return _marginal(joint, 0)
 
 
 def read_meter(joint: TwoModeGaussian, y_reading: float) -> GaussianState:
@@ -345,56 +339,57 @@ class OzawaConfig:
         """Build and validate from the JSON config schema (see schemas/)."""
         if not isinstance(raw, dict):
             raise ConfigError("config", f"expected a JSON object, got {type(raw).__name__}")
+        known = {f.name for f in fields(cls)} | {"version"}
+        for name in raw:
+            if name not in known:
+                raise ConfigError(name, "unknown field")
         version = raw.get("version", 1)
-        if version != 1:
+        if version != 1 or isinstance(version, bool):
             raise ConfigError("version", f"unsupported config version {version!r}")
 
-        def need(name, kind, node=raw, where=""):
+        def need(name, kind, node=raw, where="", default=None):
             label = f"{where}{name}"
             if name not in node:
-                raise ConfigError(label, "missing required field")
+                if default is None:
+                    raise ConfigError(label, "missing required field")
+                return default
             value = node[name]
-            if kind is float:
-                if isinstance(value, bool) or not isinstance(value, (int, float)):
-                    raise ConfigError(label, f"expected a number, got {value!r}")
-                return float(value)
-            if kind is int:
-                if isinstance(value, bool) or not isinstance(value, int):
-                    raise ConfigError(label, f"expected an integer, got {value!r}")
-                return value
             if kind is dict:
                 if not isinstance(value, dict):
                     raise ConfigError(label, f"expected an object, got {value!r}")
                 return value
-            raise AssertionError(kind)
+            # JSON has one number type: 3.0 is an integer, as the schema reads it.
+            if isinstance(value, bool) or not isinstance(value, (int, float)) or (
+                kind is int and isinstance(value, float) and not value.is_integer()
+            ):
+                what = "an integer" if kind is int else "a number"
+                raise ConfigError(label, f"expected {what}, got {value!r}")
+            return kind(value)
 
         sys_node = need("system", dict)
         variant = sys_node.get("variant")
-        if variant == "free_mass":
-            system: SystemModel = FreeMass(m=need("m", float, sys_node, "system."))
-        elif variant == "oscillator":
-            system = Oscillator(
-                m=need("m", float, sys_node, "system."),
-                omega=need("omega", float, sys_node, "system."),
-            )
-        elif variant == "dimensionless_oscillator":
-            system = DimensionlessOscillator(omega=need("omega", float, sys_node, "system."))
-        else:
+        models = {
+            "free_mass": (FreeMass, ("m",)),
+            "oscillator": (Oscillator, ("m", "omega")),
+            "dimensionless_oscillator": (DimensionlessOscillator, ("omega",)),
+        }
+        if variant not in tuple(models):  # == only: a JSON list variant is unhashable
             raise ConfigError(
-                "system.variant",
-                f"must be one of free_mass | oscillator | dimensionless_oscillator, got {variant!r}",
+                "system.variant", f"must be one of {' | '.join(models)}, got {variant!r}"
             )
+        model, names = models[variant]
+        params = {name: need(name, float, sys_node, "system.") for name in names}
+        try:
+            system: SystemModel = model(**params)
+        except ValueError as exc:
+            raise ConfigError("system", str(exc)) from exc
 
         meter_node = need("meter_variances", dict)
-        meter = (
-            need("vyy0", float, meter_node, "meter_variances."),
-            need("vpp_y0", float, meter_node, "meter_variances."),
+        meter = tuple(need(n, float, meter_node, "meter_variances.") for n in ("vyy0", "vpp_y0"))
+        init = need("initial_system", dict)
+        initial = GaussianState(
+            **{f.name: need(f.name, float, init, "initial_system.") for f in fields(GaussianState)}
         )
-        init_node = need("initial_system", dict)
-        try:
-            initial = GaussianState.from_dict(init_node)
-        except KeyError as exc:
-            raise ConfigError(f"initial_system.{exc.args[0]}", "missing required field") from exc
 
         t_raw = raw.get("T", "auto")
         if t_raw == "auto" or t_raw is None:
@@ -403,10 +398,6 @@ class OzawaConfig:
             T = float(t_raw)
         else:
             raise ConfigError("T", f"expected a number or 'auto', got {t_raw!r}")
-
-        mode = raw.get("mode", "sample")
-        if not isinstance(mode, str):
-            raise ConfigError("mode", f"expected a string, got {mode!r}")
 
         try:
             return cls(
@@ -419,9 +410,9 @@ class OzawaConfig:
                 meter_variances=meter,
                 initial_system=initial,
                 seed=need("seed", int),
-                hbar=float(raw.get("hbar", 1.0)),
+                hbar=need("hbar", float, default=1.0),
                 T=T,
-                mode=mode,
+                mode=raw.get("mode", "sample"),
             )
         except ValueError as exc:
             if isinstance(exc, ConfigError):
@@ -578,13 +569,6 @@ def run_protocol(config: OzawaConfig, strict: bool = False) -> ProtocolTrace:
 # ---------------------------------------------------------------------------
 
 
-def _gauss_1d(xi: np.ndarray, width: complex, mean_x: float, mean_p: float, hbar: float):
-    dev = xi - mean_x
-    return (width.real / (math.pi * hbar)) ** 0.25 * np.exp(
-        1j * mean_p * xi / hbar - width * dev * dev / (2.0 * hbar)
-    )
-
-
 def sample_joint(
     system_width: complex,
     system_mean: tuple[float, float],
@@ -606,7 +590,7 @@ def sample_joint(
     y = grid_y.points()[None, :]
     x0 = inv[0, 0] * x + inv[0, 1] * y
     y0 = inv[1, 0] * x + inv[1, 1] * y
-    return _gauss_1d(x0, system_width, system_mean[0], system_mean[1], hbar) * _gauss_1d(
+    return _gaussian_amps(x0, system_width, system_mean[0], system_mean[1], hbar) * _gaussian_amps(
         y0, meter_width, meter_mean[0], meter_mean[1], hbar
     )
 

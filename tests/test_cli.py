@@ -153,6 +153,16 @@ class TestOracle:
         assert code == 1
         assert "oracle failed" in err
 
+    def test_coarse_grid_names_the_n_it_needs(self, capsys):
+        argv = ["oracle", "--system", "free", "--m", "1.7", "--hbar", "0.8", "--vxx0", "0.240625",
+                "--vpp0", "11.304", "--times", "3"]
+        code, out, err = run_cli(capsys, *argv, "--n", "4096")
+        assert (code, out) == (1, "")
+        assert err.startswith("oracle failed: dx = 0.125 cannot represent")
+        assert err.endswith("; n >= 8192 on this domain)\n")
+        code, out, _ = run_cli(capsys, *argv, "--n", "8192")
+        assert code == 0 and out.endswith(": OK\n")
+
     def test_t0_only_machine_precision(self, capsys):
         code, out, _ = run_cli(capsys, "oracle", "--times", "0")
         assert code == 0
@@ -332,3 +342,21 @@ class TestOzawa:
         assert code == 2
         assert out == ""
         assert err == "invalid config: seed: must be >= 0, got -1\n"
+
+    @pytest.mark.parametrize(
+        "mutate, err",
+        [
+            (lambda raw: raw["system"].update(m=0), "system: m must be > 0, got 0.0"),
+            (lambda raw: raw.update(Mode="sample"), "Mode: unknown field"),
+            (lambda raw: raw.update(hbar=None), "hbar: expected a number, got None"),
+            (lambda raw: raw["initial_system"].update(vxx="1.0"),
+             "initial_system.vxx: expected a number, got '1.0'"),
+        ],
+    )
+    def test_fields_the_schema_rejects_exit_2(self, capsys, tmp_path, mutate, err):
+        raw = json.loads(open(REFERENCE_CONFIG).read())
+        mutate(raw)
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(raw))
+        code, out, got = run_cli(capsys, "ozawa", "--config", str(path))
+        assert (code, out, got) == (2, "", f"invalid config: {err}\n")

@@ -1,0 +1,169 @@
+"""The JSON schema and OzawaConfig.from_dict describe one config contract.
+
+Hypothesis generates configs a JSON file could hold (finite numbers only:
+`quvar ozawa` rejects the NaN/Infinity literals before either check runs),
+starting from a valid one and breaking up to three fields. Schema and
+validator must agree on accept or reject, except where the config breaks
+one of the cross-field rules the schema cannot express; there only the
+validator rejects, and it names the field.
+"""
+
+import json
+from pathlib import Path
+
+import jsonschema
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from quvar import OzawaConfig
+from quvar.ozawa import ConfigError
+
+SCHEMA = json.loads(
+    (Path(__file__).resolve().parent.parent / "schemas" / "ozawa_config.schema.json").read_text()
+)
+VALIDATOR = jsonschema.Draft7Validator(SCHEMA)
+MISSING = object()
+
+positive = st.floats(1e-3, 1e3)
+finite = st.floats(-1e3, 1e3)
+
+
+@st.composite
+def valid_configs(draw):
+    variant = draw(st.sampled_from(["free_mass", "oscillator", "dimensionless_oscillator"]))
+    hbar = 1.0 if variant == "dimensionless_oscillator" else draw(positive)
+    system = {"variant": variant}
+    if variant != "dimensionless_oscillator":
+        system["m"] = draw(positive)
+    if variant != "free_mass":
+        system["omega"] = draw(positive)
+    vyy0, vxx = draw(positive), draw(positive)
+    vxp = draw(finite)
+    tau = draw(positive)
+    raw = {
+        "version": 1,
+        "hbar": hbar,
+        "k": draw(positive),
+        "tau": tau,
+        "T": draw(st.sampled_from(["auto", None, tau * 2.0])),
+        "N": draw(st.integers(1, 50)),
+        "Omega": draw(st.floats(0.0, 1e3)),
+        "delta_tau": draw(st.floats(0.0, 1e3)),
+        "system": system,
+        "meter_variances": {"vyy0": vyy0, "vpp_y0": hbar * hbar / vyy0},
+        "initial_system": {
+            "mean_x": draw(finite),
+            "mean_p": draw(finite),
+            "vxx": vxx,
+            "vxp": vxp,
+            "vpp": (hbar * hbar + vxp * vxp) / vxx,
+        },
+        "seed": draw(st.integers(0, 2**32)),
+        "mode": draw(st.sampled_from(["sample", "mean"])),
+    }
+    for optional in ("version", "hbar", "T", "mode"):
+        if variant != "dimensionless_oscillator" and draw(st.booleans()):
+            del raw[optional]
+    return raw
+
+
+# Values a broken field may take: boundary and out-of-range numbers, integral
+# floats, and the other JSON types.
+bad_values = st.one_of(
+    st.sampled_from([0, 0.0, -0.0, -1, 1, 2.0, 0.5, -1e-300, 1e-300, "auto", "1.0", "mean", "x"]),
+    st.sampled_from([True, False, None, [], {}]),
+    st.sampled_from(["free_mass", "oscillator", "dimensionless_oscillator"]),
+    finite,
+    st.integers(-3, 3),
+)
+PATHS = [
+    ("version",), ("hbar",), ("k",), ("tau",), ("T",), ("N",), ("Omega",), ("delta_tau",),
+    ("seed",), ("mode",), ("system",), ("meter_variances",), ("initial_system",), ("extra",),
+    ("system", "variant"), ("system", "m"), ("system", "omega"), ("system", "extra"),
+    ("meter_variances", "vyy0"), ("meter_variances", "vpp_y0"),
+    ("initial_system", "mean_x"), ("initial_system", "vxx"), ("initial_system", "vxp"),
+    ("initial_system", "vpp"),
+]
+
+
+@st.composite
+def configs(draw):
+    raw = draw(valid_configs())
+    for _ in range(draw(st.integers(0, 3))):
+        *parents, leaf = draw(st.sampled_from(PATHS))
+        node = raw
+        for key in parents:
+            node = node.get(key) if isinstance(node, dict) else None
+        if not isinstance(node, dict):
+            continue
+        value = draw(st.one_of(bad_values, st.just(MISSING)))
+        if value is MISSING:
+            node.pop(leaf, None)
+        else:
+            node[leaf] = value
+    return raw
+
+
+def cross_field_breaks(raw) -> set[str]:
+    """The fields whose cross-field rules the config breaks (schema-valid input)."""
+    hbar = raw.get("hbar", 1.0)
+    quarter = 0.25 * hbar * hbar * (1.0 + 1e-9)
+    broken = set()
+    meter, init = raw["meter_variances"], raw["initial_system"]
+    if meter["vyy0"] * meter["vpp_y0"] < quarter:
+        broken.add("meter_variances")
+    if init["vxx"] * init["vpp"] - init["vxp"] ** 2 < quarter:
+        broken.add("initial_system")
+    if isinstance(raw.get("T"), (int, float)) and not raw["T"] > raw["tau"]:
+        broken.add("T")
+    if raw["system"]["variant"] == "dimensionless_oscillator" and hbar != 1.0:
+        broken.add("hbar")
+    return broken
+
+
+REFERENCE = json.loads(
+    (Path(__file__).resolve().parent.parent / "configs" / "ozawa_reference.json").read_text()
+)
+
+
+def changed(*path_and_value):
+    """The reference config with the field at path set (or, for MISSING, removed)."""
+    raw = json.loads(json.dumps(REFERENCE))
+    *parents, leaf, value = path_and_value
+    node = raw
+    for key in parents:
+        node = node[key]
+    if value is MISSING:
+        del node[leaf]
+    else:
+        node[leaf] = value
+    return raw
+
+
+# The disagreements this test found when it was written, kept as fixed cases.
+@example(changed("system", {"variant": "free_mass"}))
+@example(changed("system", {"variant": "oscillator", "m": 1.0, "omega": 0.0}))
+@example(changed("system", "m", 0.0))
+@example(changed("comment", "unknown top-level field"))
+@example(changed("hbar", None))
+@example(changed("hbar", "1.0"))
+@example(changed("initial_system", "vxx", True))
+@example(changed("version", True))
+@example(changed("N", 3.0))
+@example(changed("seed", 7.0))
+@settings(max_examples=1000, deadline=None)
+@given(configs())
+def test_schema_and_validator_agree(raw):
+    schema_ok = VALIDATOR.is_valid(raw)
+    try:
+        OzawaConfig.from_dict(raw)
+    except ConfigError as exc:
+        # A schema-valid config fails only on a cross-field rule, named.
+        assert not schema_ok or exc.field in cross_field_breaks(raw), (exc, raw)
+    else:
+        assert schema_ok, (list(VALIDATOR.iter_errors(raw)), raw)
+
+
+def test_the_reference_config_is_valid_for_both():
+    assert VALIDATOR.is_valid(REFERENCE)
+    OzawaConfig.from_dict(REFERENCE)

@@ -15,6 +15,7 @@ from quvar import (
     PhysConfig,
     contraction_phase_osc,
     evolve,
+    flow_map,
     free_mass_bounds,
     gaussian_from_extremal,
     moments,
@@ -27,6 +28,9 @@ from quvar import (
     verify_bounds_oracle,
     wavefn_csv,
 )
+from quvar import gridsim
+from quvar.bounds import envelope
+from quvar.gridsim import OracleRow
 
 SQRT3 = math.sqrt(3.0)
 
@@ -300,6 +304,86 @@ class TestVerifyBoundsOracle:
         mixed = GaussianState(vxx=1.0, vpp=1.0, vxp=0.0)  # product 1 > 1/4
         with pytest.raises(ValueError, match="pure"):
             verify_bounds_oracle(mixed, FreeMass(m=1.0), [0.5])
+
+
+# (model, ħ passed, times, n_steps); n = 1024 throughout.
+ORACLE_CASES = [
+    (FreeMass(m=1.7), 0.8, [0.5, 1.2, 2.5], None),
+    (Oscillator(m=1.5, omega=0.7), 0.8, [0.5, 2.0, 3.5, 4.4], None),
+    (DimensionlessOscillator(omega=1.3), 0.8, [0.0, 0.3, 1.5, 3.0], None),
+    (Oscillator(m=1.5, omega=0.7), 0.8, [0.5, 2.0], 64),
+]
+
+
+def _hand_oracle(spec, model, times, hbar, n, n_steps):
+    """verify_bounds_oracle's rows, spelled out as a loop of public calls."""
+    hbar = model._hbar(hbar)
+    state0 = gaussian_from_extremal(spec, 0.0, 0.0, hbar)
+    lo, hi = math.inf, -math.inf
+    for t in [0.0, *times]:
+        m_t = float((flow_map(model, t) @ state0.mean)[0])
+        sig = math.sqrt(envelope(model, state0.vxx, state0.vpp, t, hbar).upper)
+        lo, hi = min(lo, m_t - 40.0 * sig), max(hi, m_t + 40.0 * sig)
+    psi0 = sample_extremal(spec, 0.0, 0.0, Grid(x_min=lo, x_max=hi, n=n), hbar)
+    rows = []
+    for t in times:
+        if isinstance(model, FreeMass):
+            psi_t = propagate_free(psi0, model.m, t)
+        elif isinstance(model, DimensionlessOscillator) and t == 0.0:
+            psi_t = psi0
+        else:
+            m = 1.0 / model.omega if isinstance(model, DimensionlessOscillator) else model.m
+            if n_steps is None:
+                psi_t = propagate_osc_exact(psi0, m, model.omega, t)
+            else:
+                psi_t = propagate_osc(psi0, m, model.omega, t, n_steps)
+        got = moments(psi_t)
+        want = evolve(state0, model, t, PhysConfig(hbar))
+        moment_dev = max(
+            abs(got.mean_x - want.mean_x),
+            abs(got.mean_p - want.mean_p),
+            abs(got.vxx - want.vxx),
+            abs(got.vpp - want.vpp),
+            abs(got.vxp - want.vxp),
+        )
+        pair = envelope(model, state0.vxx, state0.vpp, t, hbar)
+        env = pair.lower if spec.sign * model._x_row(t)[2] >= 0 else pair.upper
+        rows.append(OracleRow(t=t, moment_dev=moment_dev, envelope_dev=abs(got.vxx - env)))
+    return tuple(rows)
+
+
+class TestOracleBitIdentity:
+    @pytest.mark.parametrize("sign", [1, -1])
+    @pytest.mark.parametrize("model, hbar, times, n_steps", ORACLE_CASES)
+    def test_rows_equal_a_loop_of_public_calls(self, model, hbar, times, n_steps, sign):
+        spec = ExtremalSpec.from_variances(0.9, 1.1, model._hbar(hbar), sign)
+        report = verify_bounds_oracle(spec, model, times, hbar=hbar, n=1024, n_steps=n_steps)
+        assert report.rows == _hand_oracle(spec, model, times, hbar, 1024, n_steps)
+
+    @pytest.mark.parametrize("model, hbar, times, n_steps", ORACLE_CASES)
+    def test_one_moments_call_per_time_plus_one(self, monkeypatch, model, hbar, times, n_steps):
+        calls = []
+        real = gridsim.moments
+
+        def counting(psi, check_norm=True):
+            calls.append(check_norm)
+            return real(psi, check_norm)
+
+        monkeypatch.setattr(gridsim, "moments", counting)
+        spec = ExtremalSpec.from_variances(0.9, 1.1, model._hbar(hbar), 1)
+        verify_bounds_oracle(spec, model, times, hbar=hbar, n=1024, n_steps=n_steps)
+        assert len(calls) == len(times) + 1
+
+    def test_input_checks_run_only_where_a_propagator_runs(self):
+        # At ⟨X⟩ = 30 the chirped intermediate outruns dx; t = 0 of the
+        # dimensionless oscillator copies ψ0 and checks nothing.
+        spec = ExtremalSpec.from_variances(0.9, 1.1, 1.0, 1)
+        model = DimensionlessOscillator(omega=1.3)
+        report = verify_bounds_oracle(spec, model, [0.0], mean_x=30.0, n=1024)
+        assert [row.t for row in report.rows] == [0.0]
+        with pytest.raises(AliasingError, match="chirped intermediate"):
+            verify_bounds_oracle(spec, model, [0.0, 0.5], mean_x=30.0, n=1024)
+        verify_bounds_oracle(spec, model, [0.0, 0.5], mean_x=30.0, n=1024, n_steps=64)
 
 
 class TestWavefnCsv:
