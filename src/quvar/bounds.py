@@ -12,14 +12,18 @@ The lower envelope dips below the heuristic ħt/m line (see sql_reference)
 whenever the uncertainty product exceeds its minimum: contractive states
 exist that track the lower envelope exactly (see quvar.extremal).
 
-Envelope functions accept t ≥ 0 only; time-reversed analysis is out of scope
-here (the underlying flows in quvar.gaussian do accept negative t).
+envelope() takes t as a 1-D array (a float t is the length-1 case) and
+checks every t and every row first: a negative or non-finite t, or a row that
+overflows to inf or NaN, raises ValueError naming the first such t. t ≥ 0
+only; time reversal is out of scope (the flows in quvar.gaussian accept it).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+
+import numpy as np
 
 from .gaussian import DimensionlessOscillator, FreeMass, Oscillator, SystemModel
 
@@ -38,7 +42,7 @@ __all__ = [
 
 @dataclass(frozen=True)
 class BoundPair:
-    """Lower/upper variance envelope values at one time (or phase ωt)."""
+    """Lower/upper variance envelopes at a time t (or phase ωt): floats, or arrays."""
 
     lower: float
     upper: float
@@ -56,7 +60,7 @@ def sqrt_uncertainty_excess(vxx0: float, vpp0: float, hbar: float = 1.0) -> floa
         raise ValueError(f"variances must be positive, got vxx0={vxx0}, vpp0={vpp0}")
     arg = 4.0 * vxx0 * vpp0 - hbar * hbar
     tol = 1e-12 * max(hbar * hbar, 4.0 * vxx0 * vpp0)
-    if arg < -tol:
+    if arg < -tol or arg == -math.inf:  # -inf: ħ² overflowed, and tol with it
         raise ValueError(
             f"uncertainty product below minimum: vxx0*vpp0 = {vxx0 * vpp0:.6g} "
             f"< hbar^2/4 = {0.25 * hbar * hbar:.6g}"
@@ -64,28 +68,46 @@ def sqrt_uncertainty_excess(vxx0: float, vpp0: float, hbar: float = 1.0) -> floa
     return math.sqrt(max(arg, 0.0))
 
 
-def _require_time(t: float) -> None:
-    # One chained comparison: rejects negative, NaN and infinite t alike.
-    if not 0 <= t < math.inf:
-        raise ValueError(f"t must be >= 0 and finite, got {t}")
+def _check(ok: np.ndarray, t: np.ndarray, message: str) -> None:
+    if not ok.all():  # name the first failing t
+        raise ValueError(message.format(t[~ok][0]))
 
 
-def envelope(model: SystemModel, vxx0: float, vpp0: float, t: float, hbar: float) -> BoundPair:
+def _require_time(t: float | np.ndarray) -> None:
+    ts = np.atleast_1d(t)
+    # Rejects negative, NaN and infinite t alike.
+    _check((0 <= ts) & (ts < math.inf), ts, "t must be >= 0 and finite, got {}")
+
+
+def envelope(
+    model: SystemModel, vxx0: float, vpp0: float, t: float | np.ndarray, hbar: float
+) -> BoundPair:
     """cxx·vxx0 + cpp·vpp0 ∓ |cxp|·√(4·vxx0·vpp0 − ħ²) with the model's x-row and ħ.
 
     Rounding dust below the model's analytic floor (ħ²/(4·vpp0) for the free
     mass, 0 for the oscillators) is snapped up to it, but never above the
     upper side (the floor itself can land one ulp high at minimal products).
     """
-    _require_time(t)
+    ts = np.atleast_1d(np.asarray(t, dtype=float))
+    _require_time(ts)
     hbar = model._hbar(hbar)
     s = sqrt_uncertainty_excess(vxx0, vpp0, hbar)
-    cxx, cpp, cxp = model._x_row(t)
-    center = cxx * vxx0 + cpp * vpp0
-    half = abs(cxp) * s
-    upper = center + half
-    lower = min(max(center - half, model._floor(vpp0, hbar)), upper)
-    return BoundPair(lower=lower, upper=upper, t=t)
+    floor = model._floor(vpp0, hbar)
+    # Elementwise ops in the scalar order round as Python floats do, and
+    # min(max(·, floor), upper) keeps Python's tie and NaN rules. A
+    # non-finite row is reported below rather than warned about.
+    with np.errstate(all="ignore"):
+        cxx, cpp, cxp = model._x_row(ts)
+        center = cxx * vxx0 + cpp * vpp0
+        half = abs(cxp) * s
+        upper = center + half
+        lower = center - half
+        lower = np.where(floor > lower, floor, lower)
+        lower = np.where(upper < lower, upper, lower)
+    _check(np.isfinite(lower) & np.isfinite(upper), ts, "envelope is not finite at t = {}")
+    if np.ndim(t) == 0:
+        return BoundPair(lower=float(lower[0]), upper=float(upper[0]), t=t)
+    return BoundPair(lower=lower, upper=upper, t=ts)
 
 
 def free_mass_bounds(vxx0: float, vpp0: float, m: float, hbar: float, t: float) -> BoundPair:
@@ -155,8 +177,6 @@ def oscillator_bounds_dimensional(
     cos²ωt·vxx0 + sin²ωt/(mω)²·vpp0 ∓ |sin 2ωt|/(2mω)·√(4·vxx0·vpp0 − ħ²).
     As ω → 0 at fixed t this converges to free_mass_bounds with O(ω²) error.
     """
-    if not m > 0 or not omega > 0:
-        raise ValueError(f"m and omega must be > 0, got m={m}, omega={omega}")
     return envelope(Oscillator(m, omega), vxx0, vpp0, t, hbar)
 
 
@@ -175,8 +195,8 @@ def contraction_phase_osc(vxx0: float, vpp0: float) -> float:
     return math.atan2(s, vpp0 - vxx0)
 
 
-def sql_reference(m: float, hbar: float, t: float) -> float:
-    """The heuristic ħt/m line, for plotting comparison only.
+def sql_reference(m: float, hbar: float, t: float | np.ndarray) -> float | np.ndarray:
+    """The heuristic ħt/m line, for plotting comparison only; t as in envelope().
 
     This is NOT a valid bound: contractive states beat it. It is emitted
     alongside the true envelopes so plots can show the violation.
@@ -184,4 +204,7 @@ def sql_reference(m: float, hbar: float, t: float) -> float:
     _require_time(t)
     if not m > 0:
         raise ValueError(f"m must be > 0, got {m}")
-    return hbar * t / m
+    with np.errstate(all="ignore"):
+        line = hbar * t / m
+    _check(np.isfinite(np.atleast_1d(line)), np.atleast_1d(t), "sql line is not finite at t = {}")
+    return line

@@ -17,7 +17,8 @@ Two flow families cover the three models:
 
 Each model class is the one source of its flow, effective ħ, envelope floor
 and x-row coefficients (cxx, cpp, cxp) = (a², b², ab) of M's first row (a, b),
-which give σ²(X(t)) = cxx·vxx + cpp·vpp + 2·cxp·vxp and the envelopes.
+which give σ²(X(t)) = cxx·vxx + cpp·vpp + 2·cxp·vxp and the envelopes. The
+x-row takes t as a 1-D array (a float is the length-1 case) and returns arrays.
 
 All operations are pure functions; values are freely shareable across
 threads. Negative t is allowed everywhere here (the flows form groups).
@@ -81,8 +82,8 @@ class FreeMass:
     def _flow(self, t: float) -> np.ndarray:
         return np.array([[1.0, t / self.m], [0.0, 1.0]])
 
-    def _x_row(self, t: float) -> tuple[float, float, float]:
-        u = t / self.m
+    def _x_row(self, t: float | np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
+        u = np.atleast_1d(t) / self.m
         return 1.0, u * u, u
 
     def _hbar(self, hbar: float) -> float:
@@ -101,9 +102,15 @@ class _Rotation:
         c, s = math.cos(th), math.sin(th)
         return np.array([[c, s / mw], [-mw * s, c]])
 
-    def _x_row(self, t: float) -> tuple[float, float, float]:
-        th, mw = self.omega * t, self._scale
-        return math.cos(th) ** 2, math.sin(th) ** 2 / mw**2, math.sin(2.0 * th) / (2.0 * mw)
+    def _x_row(self, t: float | np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        th, mw = (self.omega * np.atleast_1d(t)).tolist(), self._scale
+        n = len(th)
+        # libm and Python's ** per element: numpy's a ** 2 is a*a, which rounds
+        # unlike pow on ~0.09 % of doubles, and the table's bytes would change.
+        cos2 = np.fromiter((math.cos(x) ** 2 for x in th), float, n)
+        sin2 = np.fromiter((math.sin(x) ** 2 for x in th), float, n)
+        sin2th = np.fromiter((math.sin(2.0 * x) for x in th), float, n)
+        return cos2, sin2 / mw**2, sin2th / (2.0 * mw)
 
     def _hbar(self, hbar: float) -> float:
         return hbar
@@ -124,8 +131,11 @@ class Oscillator(_Rotation):
             raise ValueError(f"m must be > 0, got {self.m}")
         if not self.omega > 0:
             raise ValueError(f"omega must be > 0, got {self.omega}")
-        # Not a field: read once per envelope row, so stored rather than a property.
-        object.__setattr__(self, "_scale", self.m * self.omega)
+        mw = self.m * self.omega
+        # The x-row divides by (mω)²: it must neither underflow nor overflow.
+        if not 0 < mw * mw < math.inf:
+            raise ValueError(f"m*omega must have a finite, nonzero square, got {mw}")
+        object.__setattr__(self, "_scale", mw)
 
 
 @dataclass(frozen=True)
@@ -195,16 +205,6 @@ class GaussianState:
             "vpp": self.vpp,
         }
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "GaussianState":
-        return cls(
-            mean_x=float(d["mean_x"]),
-            mean_p=float(d["mean_p"]),
-            vxx=float(d["vxx"]),
-            vpp=float(d["vpp"]),
-            vxp=float(d["vxp"]),
-        )
-
 
 @dataclass(frozen=True)
 class ValidationReport:
@@ -219,12 +219,13 @@ def validate_state(state: GaussianState, config: PhysConfig = PhysConfig()) -> V
     """Check finiteness, positivity and the Schrödinger-Robertson uncertainty bound.
 
     The state is accepted iff all five moments are finite, vxx > 0, vpp > 0
-    and vxx·vpp − vxp² ≥ ħ²/4 − SR_MARGIN_TOL·max(ħ², vxx·vpp). The tolerance
+    and vxx·vpp − vxp² ≥ ħ²/4 − SR_MARGIN_TOL·max(ħ², vxx·vpp), evaluated
+    without overflow (a margin that overflows is a violation). The tolerance
     scales with the variance product so that exactly-saturating states, and
     their images under the exact flows, still validate at any scale. Each
     violation message names the failing field or inequality and its value.
     """
-    hb2 = config.hbar**2
+    hb2 = config.hbar * config.hbar
     violations = []
     # A finite sum proves every moment finite; only otherwise are they named.
     if not math.isfinite(state.mean_x + state.mean_p + state.vxx + state.vpp + state.vxp):
@@ -235,12 +236,15 @@ def validate_state(state: GaussianState, config: PhysConfig = PhysConfig()) -> V
         violations.append(f"vxx > 0 violated: vxx = {state.vxx}")
     if not state.vpp > 0:
         violations.append(f"vpp > 0 violated: vpp = {state.vpp}")
-    margin = state.vxx * state.vpp - state.vxp**2 - 0.25 * hb2
+    # Products, not **: float ** raises OverflowError where * gives inf.
+    margin = state.vxx * state.vpp - state.vxp * state.vxp - 0.25 * hb2
     if margin < -SR_MARGIN_TOL * max(hb2, state.vxx * state.vpp):
         violations.append(
             "Schrodinger-Robertson violated: "
             f"vxx*vpp - vxp^2 - hbar^2/4 = {margin:.6g} (must be >= 0)"
         )
+    elif not math.isfinite(margin) and not violations:
+        violations.append(f"Schrodinger-Robertson margin overflows: {margin} (moments or hbar)")
     return ValidationReport(ok=not violations, violations=tuple(violations), sr_margin=margin)
 
 
@@ -300,4 +304,4 @@ def variance_x_closed_form(
     """
     _require_valid(state, model, config)
     cxx, cpp, cxp = model._x_row(t)
-    return cxx * state.vxx + cpp * state.vpp + 2.0 * cxp * state.vxp
+    return float((cxx * state.vxx + cpp * state.vpp + 2.0 * cxp * state.vxp)[0])

@@ -126,11 +126,6 @@ class Moments:
     vpp: float
     vxp: float
 
-    def to_state(self) -> GaussianState:
-        return GaussianState(
-            mean_x=self.mean_x, mean_p=self.mean_p, vxx=self.vxx, vpp=self.vpp, vxp=self.vxp
-        )
-
 
 def quadrature_norm(psi: WaveFn) -> float:
     """∫|ψ|² dx by the trapezoid rule."""

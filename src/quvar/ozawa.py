@@ -29,6 +29,7 @@ variance from ever exceeding the meter's.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import asdict, dataclass, fields
 from typing import Iterator, Optional
 
@@ -221,6 +222,13 @@ class ConfigError(ValueError):
         self.field = field_name
 
 
+def _require_finite(name: str, value: float) -> None:
+    # abs() <= max compares an int exactly, where math.isfinite and float()
+    # raise OverflowError on a JSON integer beyond the float range (10**400).
+    if not abs(value) <= sys.float_info.max:
+        raise ConfigError(name, f"must be finite, got {value}")
+
+
 class RegimeError(RuntimeError):
     """Strict mode: regime warnings promoted to an error."""
 
@@ -253,8 +261,7 @@ class OzawaConfig:
         if not isinstance(self.system, (FreeMass, Oscillator, DimensionlessOscillator)):
             raise ConfigError("system", f"unknown system model {self.system!r}")
         for name, value in self._numeric_fields():
-            if not math.isfinite(value):
-                raise ConfigError(name, f"must be finite, got {value}")
+            _require_finite(name, value)
         if not self.hbar > 0:
             raise ConfigError("hbar", f"must be > 0, got {self.hbar}")
         if self.system._hbar(self.hbar) != self.hbar:
@@ -364,6 +371,8 @@ class OzawaConfig:
             ):
                 what = "an integer" if kind is int else "a number"
                 raise ConfigError(label, f"expected {what}, got {value!r}")
+            if kind is float:
+                _require_finite(label, value)
             return kind(value)
 
         sys_node = need("system", dict)
@@ -392,12 +401,7 @@ class OzawaConfig:
         )
 
         t_raw = raw.get("T", "auto")
-        if t_raw == "auto" or t_raw is None:
-            T = None
-        elif isinstance(t_raw, (int, float)) and not isinstance(t_raw, bool):
-            T = float(t_raw)
-        else:
-            raise ConfigError("T", f"expected a number or 'auto', got {t_raw!r}")
+        T = None if t_raw == "auto" or t_raw is None else need("T", float)
 
         try:
             return cls(

@@ -93,6 +93,39 @@ class TestBounds:
         assert out == ""
         assert err == "omega must be >= 0, got -1.0\n"
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            # (t/m)² overflows: the rows would read nan/inf.
+            (["--t-max", "1e200", "--m", "1e-200", "--steps", "2"], "envelope is not finite at t"),
+            # t itself overflows: 2 * 1e308 = inf.
+            (["--t-max", "1e308", "--steps", "4"], "t must be >= 0 and finite, got inf"),
+            # Only the sql line ħt/m overflows, in ħ·t.
+            (["--t-max", "1e155", "--steps", "1", "--hbar", "1e154", "--m", "1e10",
+              "--vxx0", "1e300", "--vpp0", "3e7"], "sql line is not finite at t = 1e+155"),
+            # ħ² overflows: the product check must still reject vxx0·vpp0 = 1.
+            (["--hbar", "1e200"], "uncertainty product below minimum"),
+        ],
+    )
+    def test_non_finite_rows_exit_2_before_any_output(self, capsys, tmp_path, argv, message):
+        path = tmp_path / "table.csv"
+        for extra in ([], ["--output", str(path)]):
+            code, out, err = run_cli(capsys, "bounds", *argv, *extra)
+            assert code == 2
+            assert out == ""
+            assert message in err
+        assert not path.exists()
+
+    @pytest.mark.parametrize(
+        "m, omega", [("1e100", "1e100"), ("1e-300", "1e10"), ("1e300", "1e10")]
+    )
+    @pytest.mark.parametrize("command", ["bounds", "oracle"])
+    def test_unusable_oscillator_scale_exits_2(self, capsys, command, m, omega):
+        code, out, err = run_cli(capsys, command, "--system", "osc", "--m", m, "--omega", omega)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("m*omega must have a finite, nonzero square")
+
 
 class TestExtremal:
     def test_dimensionless_reference_record(self, capsys):
@@ -304,6 +337,20 @@ class TestOzawa:
         assert code == 2
         assert out == ""
         assert err == f"invalid config: {field}: must be finite, got inf\n"
+
+    @pytest.mark.parametrize("digits", [401, 5000])
+    def test_integer_beyond_the_float_range_exits_2(self, capsys, tmp_path, digits):
+        raw = json.loads(open(REFERENCE_CONFIG).read())
+        raw["k"] = "placeholder"
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps(raw).replace('"placeholder"', "1" + "0" * (digits - 1)))
+        code, out, err = run_cli(capsys, "ozawa", "--config", str(path))
+        assert code == 2
+        assert out == ""
+        if digits < 4300:  # beyond that json.load itself refuses the literal
+            assert err.startswith("invalid config: k: must be finite, got 1000")
+        else:
+            assert err.startswith("config is not valid JSON: ")
 
     def test_output_file_matches_stdout(self, capsys, tmp_path):
         raw = json.loads(open(REFERENCE_CONFIG).read())

@@ -9,6 +9,7 @@ validator rejects, and it names the field.
 """
 
 import json
+import math
 from pathlib import Path
 
 import jsonschema
@@ -75,6 +76,9 @@ bad_values = st.one_of(
     st.sampled_from(["free_mass", "oscillator", "dimensionless_oscillator"]),
     finite,
     st.integers(-3, 3),
+    # JSON integers around and beyond the float range (max ≈ 2**1024).
+    st.sampled_from([10**400, -(10**400), 2**1024, 2**1024 - 2**970, 2**1024 - 2**971]),
+    st.integers(-(2**1025), 2**1025),
 )
 PATHS = [
     ("version",), ("hbar",), ("k",), ("tau",), ("T",), ("N",), ("Omega",), ("delta_tau",),
@@ -112,12 +116,18 @@ def cross_field_breaks(raw) -> set[str]:
     meter, init = raw["meter_variances"], raw["initial_system"]
     if meter["vyy0"] * meter["vpp_y0"] < quarter:
         broken.add("meter_variances")
-    if init["vxx"] * init["vpp"] - init["vxp"] ** 2 < quarter:
+    vxx, vpp, vxp = (float(init[k]) for k in ("vxx", "vpp", "vxp"))
+    # Products overflow to inf where ** raises; an overflowing margin is broken too.
+    if not quarter <= vxx * vpp - vxp * vxp < math.inf:
         broken.add("initial_system")
     if isinstance(raw.get("T"), (int, float)) and not raw["T"] > raw["tau"]:
         broken.add("T")
     if raw["system"]["variant"] == "dimensionless_oscillator" and hbar != 1.0:
         broken.add("hbar")
+    if raw["system"]["variant"] == "oscillator":
+        mw = float(raw["system"]["m"]) * float(raw["system"]["omega"])
+        if not 0.0 < mw * mw < math.inf:
+            broken.add("system")
     return broken
 
 
@@ -151,6 +161,9 @@ def changed(*path_and_value):
 @example(changed("version", True))
 @example(changed("N", 3.0))
 @example(changed("seed", 7.0))
+@example(changed("k", 10**400))
+@example(changed("initial_system", "mean_x", -(2**1024) + 2**970))
+@example(changed("system", {"variant": "oscillator", "m": 1e-300, "omega": 1e-3}))
 @settings(max_examples=1000, deadline=None)
 @given(configs())
 def test_schema_and_validator_agree(raw):

@@ -79,6 +79,31 @@ class TestValidateState:
         assert validate_state(state, PhysConfig(hbar=2.0)).ok
         assert not validate_state(state, PhysConfig(hbar=2.1)).ok
 
+    @pytest.mark.parametrize(
+        "state, hbar",
+        [
+            (GaussianState(vxx=1.0, vpp=1.0, vxp=1e200), 1.0),  # vxp² overflows
+            (GaussianState(vxx=1e200, vpp=1e200, vxp=1e200), 1.0),  # inf − inf
+            (GaussianState(vxx=1e200, vpp=1e200, vxp=0.0), 1e200),  # ħ² overflows
+        ],
+    )
+    def test_overflowing_margin_is_a_violation(self, state, hbar):
+        report = validate_state(state, PhysConfig(hbar))
+        assert not report.ok
+        assert any("Schrodinger-Robertson" in v for v in report.violations)
+
+
+class TestOscillatorScale:
+    @pytest.mark.parametrize(
+        "m, omega", [(1e100, 1e100), (1e-300, 1e10), (1e300, 1e10), (1e-200, 1e-200)]
+    )
+    def test_unusable_m_omega_is_rejected(self, m, omega):
+        with pytest.raises(ValueError, match=r"m\*omega must have a finite, nonzero square"):
+            Oscillator(m=m, omega=omega)
+
+    def test_extreme_but_usable_scale_is_kept(self):
+        assert Oscillator(m=1e150, omega=1e-10)._scale == 1e150 * 1e-10
+
 
 class TestFlowMap:
     def test_free_mass_identity_at_t0(self):

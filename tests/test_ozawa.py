@@ -1,4 +1,6 @@
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -36,6 +38,7 @@ from quvar import (
 )
 
 SQRT3 = math.sqrt(3.0)
+REFERENCE_CONFIG = Path(__file__).resolve().parent.parent / "configs" / "ozawa_reference.json"
 
 
 def contractive(vxx, vpp, mean_x=0.0, mean_p=0.0):
@@ -333,6 +336,9 @@ class TestConfig:
             (dict(system=FreeMass(m=math.inf)), "system.m"),
             (dict(initial_system=contractive(1.0, 1.0, mean_x=math.nan)), "initial_system.mean_x"),
             (dict(seed=-1), "seed"),
+            # A JSON integer beyond the float range: float() would overflow.
+            (dict(k=10**400), "k"),
+            (dict(T=-(10**400)), "T"),
         ],
     )
     def test_violations_name_the_field(self, overrides, field):
@@ -424,6 +430,34 @@ class TestConfig:
         with pytest.raises(ConfigError) as err:
             OzawaConfig.from_dict(raw)
         assert err.value.field == field
+
+    @pytest.mark.parametrize(
+        "path, value",
+        [
+            (("k",), 10**400),
+            (("T",), 2**1024),
+            (("initial_system", "vxp"), -(10**400)),
+            (("system", "m"), 10**400),
+        ],
+    )
+    def test_from_dict_rejects_integers_beyond_the_float_range(self, path, value):
+        # float() would raise OverflowError on these JSON integers.
+        raw = json.loads(REFERENCE_CONFIG.read_text())
+        *parents, leaf = path
+        node = raw
+        for key in parents:
+            node = node[key]
+        node[leaf] = value
+        with pytest.raises(ConfigError) as err:
+            OzawaConfig.from_dict(raw)
+        assert err.value.field == ".".join(path)
+
+    def test_from_dict_rejects_an_unusable_oscillator_scale(self):
+        raw = json.loads(REFERENCE_CONFIG.read_text())
+        raw["system"] = {"variant": "oscillator", "m": 1e-10, "omega": 1e-300}
+        with pytest.raises(ConfigError, match=r"m\*omega") as err:
+            OzawaConfig.from_dict(raw)
+        assert err.value.field == "system"
 
 
 class TestCheckRegime:
