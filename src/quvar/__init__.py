@@ -51,6 +51,7 @@ from .gridsim import (
     Moments,
     OracleReport,
     WaveFn,
+    joint_moments,
     moments,
     propagate_free,
     propagate_osc,
@@ -58,6 +59,8 @@ from .gridsim import (
     quadrature_norm,
     sample_extremal,
     sample_gaussian,
+    sample_joint,
+    slice_at_y,
     verify_bounds_oracle,
     wavefn_csv,
 )
@@ -73,12 +76,9 @@ from .ozawa import (
     couple,
     interaction_generator,
     interaction_map,
-    joint_moments,
     meter_marginal,
     read_meter,
     run_protocol,
-    sample_joint,
-    slice_at_y,
     symplectic_defect,
     system_marginal,
 )

@@ -54,10 +54,13 @@ def sqrt_uncertainty_excess(vxx0: float, vpp0: float, hbar: float = 1.0) -> floa
 
     Arguments within −1e−12·max(ħ², 4·vxx0·vpp0) of zero are clamped to 0 so
     that exactly-saturating inputs built in floating point pass; anything
-    more negative is an invalid uncertainty product and raises.
+    more negative is an invalid uncertainty product and raises, as do a
+    non-positive variance and a non-positive or NaN ħ.
     """
     if not vxx0 > 0 or not vpp0 > 0:
         raise ValueError(f"variances must be positive, got vxx0={vxx0}, vpp0={vpp0}")
+    if not hbar > 0:
+        raise ValueError(f"hbar must be > 0, got {hbar}")
     arg = 4.0 * vxx0 * vpp0 - hbar * hbar
     tol = 1e-12 * max(hbar * hbar, 4.0 * vxx0 * vpp0)
     if arg < -tol or arg == -math.inf:  # -inf: ħ² overflowed, and tol with it

@@ -71,6 +71,17 @@ def _render_json(obj, indent: int = 0) -> str:
     raise TypeError(f"cannot render {obj!r}")
 
 
+def _non_finite(obj, name: str = "") -> Iterator[str]:
+    """"field = value" for each non-finite float of a record, in order (nested fields dotted)."""
+    if isinstance(obj, complex):
+        obj = {"re": obj.real, "im": obj.imag}
+    if isinstance(obj, dict):
+        for key, value in obj.items():
+            yield from _non_finite(value, f"{name}.{key}" if name else key)
+    elif isinstance(obj, float) and not math.isfinite(obj):
+        yield f"{name} = {obj}"
+
+
 def _write_output(chunks: Iterable[str], path: str | None) -> None:
     """Write the chunks in order to stdout, or to the file at path."""
     if path is None:
@@ -107,19 +118,21 @@ def _add_model_args(parser: argparse.ArgumentParser) -> None:
         parser.add_argument(name, type=float, default=1.0)
 
 
-def _cmd_bounds(args) -> int:
+def _time_grid(args) -> np.ndarray:
+    """The --steps + 1 times j * t_max / steps (the same doubles), checked."""
     if not 0 < args.t_max < math.inf:
-        print("--t-max must be > 0 and finite", file=sys.stderr)
-        return EXIT_USAGE
+        raise ValueError("--t-max must be > 0 and finite")
     if args.steps < 1:
-        print("--steps must be >= 1", file=sys.stderr)
-        return EXIT_USAGE
+        raise ValueError("--steps must be >= 1")
+    with np.errstate(over="ignore"):  # an overflowing t is rejected by envelope()
+        return np.arange(args.steps + 1) * args.t_max / args.steps
+
+
+def _cmd_bounds(args) -> int:
     try:
+        t = _time_grid(args)
         model = _model(args)
-        # The same doubles as j * t_max / steps; every row is validated here,
-        # before the first byte is written.
-        with np.errstate(over="ignore"):  # an overflowing t is rejected by envelope()
-            t = np.arange(args.steps + 1) * args.t_max / args.steps
+        # Every row is validated here, before the first byte is written.
         pair = envelope(model, args.vxx0, args.vpp0, t, args.hbar)
         columns = [t, pair.lower, pair.upper]
         if args.system == "free":
@@ -153,6 +166,9 @@ def _cmd_extremal(args) -> int:
     except ValueError as exc:
         print(str(exc), file=sys.stderr)
         return EXIT_USAGE
+    except OverflowError as exc:  # float ** past the double range, e.g. |w|² at vxx0 = 1e-300
+        print(f"extremal state overflows the double range: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     record = {
         "system": args.system,
         "sign": args.sign,
@@ -162,14 +178,12 @@ def _cmd_extremal(args) -> int:
         **contraction,
         "squeeze": {"r": r, "theta": theta, "alpha": alpha, "beta": beta},
     }
+    bad = next(_non_finite(record), None)
+    if bad is not None:  # JSON has no inf or nan
+        print(f"extremal record is not finite: {bad}", file=sys.stderr)
+        return EXIT_USAGE
     _write_output([_render_json(record) + "\n"], args.output)
     return EXIT_OK
-
-
-def _parse_times(args) -> list[float]:
-    if args.times:
-        return [float(tok) for tok in args.times.split(",") if tok.strip()]
-    return [j * args.t_max / args.steps for j in range(args.steps + 1)]
 
 
 def _cmd_oracle(args) -> int:
@@ -177,7 +191,10 @@ def _cmd_oracle(args) -> int:
     try:
         model = _model(args)
         hbar = model._hbar(args.hbar)
-        times = _parse_times(args)
+        if args.times:
+            times = [float(tok) for tok in args.times.split(",") if tok.strip()]
+        else:
+            times = _time_grid(args)
         spec = ExtremalSpec.from_variances(args.vxx0, args.vpp0, hbar, sign)
     except ValueError as exc:
         print(str(exc), file=sys.stderr)

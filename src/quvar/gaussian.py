@@ -103,8 +103,12 @@ class _Rotation:
         return np.array([[c, s / mw], [-mw * s, c]])
 
     def _x_row(self, t: float | np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        th, mw = (self.omega * np.atleast_1d(t)).tolist(), self._scale
-        n = len(th)
+        ts = np.atleast_1d(t)
+        with np.errstate(all="ignore"):
+            th = self.omega * ts
+        if not np.isfinite(th).all():  # math.cos would only say "math domain error"
+            raise ValueError(f"phase omega*t is not finite at t = {ts[~np.isfinite(th)][0]}")
+        th, mw, n = th.tolist(), self._scale, len(ts)
         # libm and Python's ** per element: numpy's a ** 2 is a*a, which rounds
         # unlike pow on ~0.09 % of doubles, and the table's bytes would change.
         cos2 = np.fromiter((math.cos(x) ** 2 for x in th), float, n)

@@ -22,6 +22,12 @@ order in t/n_steps, runs on request. All preserve the norm to rounding.
 The public propagate_* check the input's momentum resolution, run an
 unchecked core and check the result's 8σ window and norm. The oracle checks
 its ψ0 once per run; each time then costs one propagation and one moments().
+
+The two-mode oracle checks quvar.ozawa's covariance algebra the same way.
+The coupling's position block has unit determinant, so the coupled joint
+wavefunction is the initial product evaluated at the inverse position map (a
+point transformation, no Jacobian): sample_joint samples it on an x × y mesh,
+joint_moments integrates its moments and slice_at_y conditions on a reading.
 """
 
 from __future__ import annotations
@@ -44,6 +50,7 @@ from .gaussian import (
     flow_map,
     validate_state,
 )
+from .ozawa import TwoModeGaussian, interaction_map
 
 __all__ = [
     "Grid",
@@ -61,6 +68,9 @@ __all__ = [
     "verify_bounds_oracle",
     "OracleReport",
     "wavefn_csv",
+    "sample_joint",
+    "joint_moments",
+    "slice_at_y",
 ]
 
 
@@ -506,3 +516,77 @@ def wavefn_csv(psi: WaveFn) -> str:
             f"{xi:.17g},{ai.real:.17g},{ai.imag:.17g},{(ai.real**2 + ai.imag**2):.17g}"
         )
     return "\n".join(lines) + "\n"
+
+
+def sample_joint(
+    system_width: complex,
+    system_mean: tuple[float, float],
+    meter_width: complex,
+    ktau: float,
+    grid_x: Grid,
+    grid_y: Grid,
+    hbar: float = 1.0,
+    meter_mean: tuple[float, float] = (0.0, 0.0),
+) -> np.ndarray:
+    """Joint wavefunction Ψ_τ(x, y) on the (grid_x × grid_y) mesh.
+
+    Ψ_τ(x, y) = ψ(A⁻¹(x, y)·ê_x) · χ(A⁻¹(x, y)·ê_y) with A the position
+    block of interaction_map at the given dose. At kτ = π/(3√3) this reduces
+    to ψ(y)·χ(y − x). amps[i, j] corresponds to (x_i, y_j).
+    """
+    inv = interaction_map(1.0, -ktau)[::2, ::2]  # A⁻¹: position block (x, y) at −kτ
+    x = grid_x.points()[:, None]
+    y = grid_y.points()[None, :]
+    psi = _gaussian_amps(inv[0, 0] * x + inv[0, 1] * y, system_width, *system_mean, hbar)
+    chi = _gaussian_amps(inv[1, 0] * x + inv[1, 1] * y, meter_width, *meter_mean, hbar)
+    return psi * chi
+
+
+def joint_moments(
+    amps: np.ndarray, grid_x: Grid, grid_y: Grid, hbar: float = 1.0
+) -> tuple[TwoModeGaussian, float]:
+    """Mean 4-vector and 4×4 covariance of a two-mode wavefunction.
+
+    With A = (x, p_x, y, p_y), positions applied pointwise and momenta
+    spectrally along their axes, the mean is Re⟨ψ|A_i ψ⟩/⟨ψ|ψ⟩ and the
+    covariance is the real part of the Gram matrix
+    ⟨(A_i − ⟨A_i⟩)ψ | (A_j − ⟨A_j⟩)ψ⟩/⟨ψ|ψ⟩, all by 2-D trapezoid quadrature.
+    The real part is the symmetrized covariance, and Re(f*·g) = Re(g*·f)
+    pointwise makes the matrix exactly symmetric. Returns (moments,
+    quadrature norm).
+    """
+    dx, dy = grid_x.dx, grid_y.dx
+
+    def inner(f: np.ndarray, g: np.ndarray) -> float:
+        """Re⟨f|g⟩ = Re ∬ f*·g dx dy by the trapezoid rule along each axis."""
+        return float(np.trapezoid(np.trapezoid(np.real(np.conj(f) * g), dx=dy, axis=1), dx=dx))
+
+    px = grid_x.momenta(hbar)[:, None]
+    py = grid_y.momenta(hbar)[None, :]
+    applied = (
+        grid_x.points()[:, None] * amps,
+        np.fft.ifft(px * np.fft.fft(amps, axis=0), axis=0),
+        grid_y.points()[None, :] * amps,
+        np.fft.ifft(py * np.fft.fft(amps, axis=1), axis=1),
+    )
+    norm = inner(amps, amps)
+    mean = np.array([inner(amps, a) for a in applied]) / norm
+    devs = [a - m * amps for a, m in zip(applied, mean)]
+    cov = np.array([[inner(f, g) for g in devs] for f in devs]) / norm
+    return TwoModeGaussian(mean=mean, cov=cov), norm
+
+
+def slice_at_y(
+    amps: np.ndarray, grid_x: Grid, grid_y: Grid, y_index: int, hbar: float = 1.0
+) -> tuple[WaveFn, float]:
+    """Conditional system wavefunction at the grid row y = y_j, normalized.
+
+    Returns the sliced WaveFn and the exact grid value y_j it was cut at
+    (pass that value to read_meter when comparing posteriors).
+    """
+    column = amps[:, y_index]
+    norm = float(np.trapezoid(np.abs(column) ** 2, dx=grid_x.dx))
+    if norm <= 0.0:
+        raise ValueError(f"slice at y index {y_index} has zero norm")
+    psi = WaveFn(grid=grid_x, amps=column / math.sqrt(norm), hbar=hbar)
+    return psi, float(grid_y.points()[y_index])

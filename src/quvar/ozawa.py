@@ -16,8 +16,9 @@ A note on the collapse covariance: the posterior wavefunction is the meter
 wavefunction reflected through y′, χ(y′ − x′). The reflection flips the
 orientation of both position and momentum, so the symmetrized covariance —
 vxp sign included — is carried over UNCHANGED from the meter preparation.
-This is asserted at runtime and cross-checked against a two-mode grid oracle
-in the test suite.
+This is asserted at runtime and cross-checked in the test suite against the
+two-mode wavefunction oracle (quvar.sample_joint, joint_moments,
+slice_at_y). The oracle imports this module, never the other way round.
 
 Free Hamiltonians are treated as exactly zero while the coupling is on; the
 regime checker quantifies when that idealization is defensible. Between
@@ -35,7 +36,7 @@ from typing import Iterator, Optional
 
 import numpy as np
 
-from .bounds import contraction_phase_osc, contraction_time_free
+from .bounds import contraction_phase_osc, contraction_time_free, sqrt_uncertainty_excess
 from .gaussian import (
     DimensionlessOscillator,
     FreeMass,
@@ -46,7 +47,6 @@ from .gaussian import (
     evolve,
     validate_state,
 )
-from .gridsim import Grid, WaveFn, _gaussian_amps
 
 __all__ = [
     "TRANSFER_KTAU",
@@ -66,9 +66,6 @@ __all__ = [
     "StepRecord",
     "ProtocolTrace",
     "run_protocol",
-    "sample_joint",
-    "joint_moments",
-    "slice_at_y",
 ]
 
 # Coupling dose at which the position block is exactly x → x − y, y → x.
@@ -283,17 +280,15 @@ class OzawaConfig:
             raise ConfigError(
                 "meter_variances", f"must be positive, got ({vyy0}, {vpp_y0})"
             )
-        hb = self.hbar
-        if vyy0 * vpp_y0 < 0.25 * hb * hb * (1.0 - 1e-12):
-            raise ConfigError(
-                "meter_variances",
-                f"uncertainty product {vyy0 * vpp_y0:.6g} below hbar^2/4 = {0.25 * hb * hb:.6g}",
-            )
+        try:
+            sqrt_uncertainty_excess(vyy0, vpp_y0, self.hbar)
+        except ValueError as exc:
+            raise ConfigError("meter_variances", str(exc)) from exc
         if self.T is not None and not self.T > self.tau:
             raise ConfigError("T", f"must exceed tau = {self.tau}, got {self.T}")
         if self.mode not in ("sample", "mean"):
             raise ConfigError("mode", f"must be 'sample' or 'mean', got {self.mode!r}")
-        report = validate_state(self.initial_system, PhysConfig(hb))
+        report = validate_state(self.initial_system, PhysConfig(self.hbar))
         if not report.ok:
             raise ConfigError("initial_system", "; ".join(report.violations))
 
@@ -313,7 +308,7 @@ class OzawaConfig:
         """Contractive meter preparation: ⟨y⟩ = ⟨p_y⟩ = 0 and
         vxp = −½√(4·vyy0·vpp_y0 − ħ²) (lower-envelope side)."""
         vyy0, vpp_y0 = self.meter_variances
-        vxp = -0.5 * math.sqrt(max(4.0 * vyy0 * vpp_y0 - self.hbar * self.hbar, 0.0))
+        vxp = -0.5 * sqrt_uncertainty_excess(vyy0, vpp_y0, self.hbar)
         return GaussianState(mean_x=0.0, mean_p=0.0, vxx=vyy0, vpp=vpp_y0, vxp=vxp)
 
     def contraction_horizon(self) -> float:
@@ -403,25 +398,20 @@ class OzawaConfig:
         t_raw = raw.get("T", "auto")
         T = None if t_raw == "auto" or t_raw is None else need("T", float)
 
-        try:
-            return cls(
-                k=need("k", float),
-                tau=need("tau", float),
-                N=need("N", int),
-                Omega=need("Omega", float),
-                delta_tau=need("delta_tau", float),
-                system=system,
-                meter_variances=meter,
-                initial_system=initial,
-                seed=need("seed", int),
-                hbar=need("hbar", float, default=1.0),
-                T=T,
-                mode=raw.get("mode", "sample"),
-            )
-        except ValueError as exc:
-            if isinstance(exc, ConfigError):
-                raise
-            raise ConfigError("config", str(exc)) from exc
+        return cls(
+            k=need("k", float),
+            tau=need("tau", float),
+            N=need("N", int),
+            Omega=need("Omega", float),
+            delta_tau=need("delta_tau", float),
+            system=system,
+            meter_variances=meter,
+            initial_system=initial,
+            seed=need("seed", int),
+            hbar=need("hbar", float, default=1.0),
+            T=T,
+            mode=raw.get("mode", "sample"),
+        )
 
 
 def check_regime(config: OzawaConfig) -> list[str]:
@@ -562,105 +552,3 @@ def run_protocol(config: OzawaConfig, strict: bool = False) -> ProtocolTrace:
         )
         system = evolve(post, config.system, wait, pconf)
     return ProtocolTrace(steps=tuple(records))
-
-
-# ---------------------------------------------------------------------------
-# Two-mode grid oracle. The coupling's position block maps positions to
-# positions with unit determinant, so the joint wavefunction after time τ is
-# the initial product evaluated at the inverse position map (a point
-# transformation; no Jacobian factor). Moments computed from that sampled
-# surface by quadrature are the independent check on the covariance algebra.
-# ---------------------------------------------------------------------------
-
-
-def sample_joint(
-    system_width: complex,
-    system_mean: tuple[float, float],
-    meter_width: complex,
-    ktau: float,
-    grid_x: Grid,
-    grid_y: Grid,
-    hbar: float = 1.0,
-    meter_mean: tuple[float, float] = (0.0, 0.0),
-) -> np.ndarray:
-    """Joint wavefunction Ψ_τ(x, y) on the (grid_x × grid_y) mesh.
-
-    Ψ_τ(x, y) = ψ(A⁻¹(x, y)·ê_x) · χ(A⁻¹(x, y)·ê_y) with A the position
-    block of interaction_map at the given dose. At kτ = π/(3√3) this reduces
-    to ψ(y)·χ(y − x). amps[i, j] corresponds to (x_i, y_j).
-    """
-    inv = interaction_map(1.0, -ktau)[::2, ::2]  # A⁻¹: position block (x, y) at −kτ
-    x = grid_x.points()[:, None]
-    y = grid_y.points()[None, :]
-    x0 = inv[0, 0] * x + inv[0, 1] * y
-    y0 = inv[1, 0] * x + inv[1, 1] * y
-    return _gaussian_amps(x0, system_width, system_mean[0], system_mean[1], hbar) * _gaussian_amps(
-        y0, meter_width, meter_mean[0], meter_mean[1], hbar
-    )
-
-
-def _integrate_2d(f: np.ndarray, dx: float, dy: float) -> float:
-    return float(np.trapezoid(np.trapezoid(f, dx=dy, axis=1), dx=dx))
-
-
-def joint_moments(
-    amps: np.ndarray, grid_x: Grid, grid_y: Grid, hbar: float = 1.0
-) -> tuple[TwoModeGaussian, float]:
-    """Mean 4-vector and 4×4 covariance of a two-mode wavefunction.
-
-    Position moments by 2D trapezoid quadrature; momentum operators applied
-    spectrally along their axes; mixed covariances as real parts of operator
-    products (symmetrized automatically). Returns (moments, quadrature norm).
-    """
-    dx, dy = grid_x.dx, grid_y.dx
-    x = grid_x.points()[:, None]
-    y = grid_y.points()[None, :]
-    dens = np.abs(amps) ** 2
-    norm = _integrate_2d(dens, dx, dy)
-
-    mx = _integrate_2d(x * dens, dx, dy) / norm
-    my = _integrate_2d(y * dens, dx, dy) / norm
-    dev_x = x - mx
-    dev_y = y - my
-
-    px = grid_x.momenta(hbar)[:, None]
-    py = grid_y.momenta(hbar)[None, :]
-    px_amps = np.fft.ifft(px * np.fft.fft(amps, axis=0), axis=0)
-    py_amps = np.fft.ifft(py * np.fft.fft(amps, axis=1), axis=1)
-    conj = np.conj(amps)
-    mpx = _integrate_2d(np.real(conj * px_amps), dx, dy) / norm
-    mpy = _integrate_2d(np.real(conj * py_amps), dx, dy) / norm
-    dpx_amps = px_amps - mpx * amps
-    dpy_amps = py_amps - mpy * amps
-
-    cov = np.zeros((4, 4))
-    cov[0, 0] = _integrate_2d(dev_x**2 * dens, dx, dy) / norm
-    cov[2, 2] = _integrate_2d(dev_y**2 * dens, dx, dy) / norm
-    cov[0, 2] = _integrate_2d(dev_x * dev_y * dens, dx, dy) / norm
-    cov[1, 1] = _integrate_2d(np.abs(dpx_amps) ** 2, dx, dy) / norm
-    cov[3, 3] = _integrate_2d(np.abs(dpy_amps) ** 2, dx, dy) / norm
-    cov[1, 3] = _integrate_2d(np.real(np.conj(dpx_amps) * dpy_amps), dx, dy) / norm
-    cov[0, 1] = _integrate_2d(np.real(conj * dev_x * dpx_amps), dx, dy) / norm
-    cov[0, 3] = _integrate_2d(np.real(conj * dev_x * dpy_amps), dx, dy) / norm
-    cov[1, 2] = _integrate_2d(np.real(conj * dev_y * dpx_amps), dx, dy) / norm
-    cov[2, 3] = _integrate_2d(np.real(conj * dev_y * dpy_amps), dx, dy) / norm
-    cov = cov + np.triu(cov, 1).T
-
-    mean = np.array([mx, mpx, my, mpy])
-    return TwoModeGaussian(mean=mean, cov=cov), norm
-
-
-def slice_at_y(
-    amps: np.ndarray, grid_x: Grid, grid_y: Grid, y_index: int, hbar: float = 1.0
-) -> tuple[WaveFn, float]:
-    """Conditional system wavefunction at the grid row y = y_j, normalized.
-
-    Returns the sliced WaveFn and the exact grid value y_j it was cut at
-    (pass that value to read_meter when comparing posteriors).
-    """
-    column = amps[:, y_index]
-    norm = float(np.trapezoid(np.abs(column) ** 2, dx=grid_x.dx))
-    if norm <= 0.0:
-        raise ValueError(f"slice at y index {y_index} has zero norm")
-    psi = WaveFn(grid=grid_x, amps=column / math.sqrt(norm), hbar=hbar)
-    return psi, float(grid_y.points()[y_index])

@@ -1,8 +1,12 @@
+import io
 import json
 import math
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from quvar import OzawaConfig, run_protocol
 from quvar.cli import main
@@ -105,6 +109,9 @@ class TestBounds:
               "--vxx0", "1e300", "--vpp0", "3e7"], "sql line is not finite at t = 1e+155"),
             # ħ² overflows: the product check must still reject vxx0·vpp0 = 1.
             (["--hbar", "1e200"], "uncertainty product below minimum"),
+            # ωt overflows, where cos(ωt) raised a bare "math domain error".
+            (["--system", "osc-dimless", "--omega", "1e300", "--t-max", "1e10"],
+             "phase omega*t is not finite at t = 200000000.0"),
         ],
     )
     def test_non_finite_rows_exit_2_before_any_output(self, capsys, tmp_path, argv, message):
@@ -125,6 +132,19 @@ class TestBounds:
         assert code == 2
         assert out == ""
         assert err.startswith("m*omega must have a finite, nonzero square")
+
+    @pytest.mark.parametrize("hbar", ["-1", "0", "nan"])
+    @pytest.mark.parametrize("system", ["free", "osc"])
+    def test_non_positive_hbar_exits_2(self, capsys, system, hbar):
+        code, out, err = run_cli(capsys, "bounds", "--system", system, "--hbar", hbar)
+        assert (code, out) == (2, "")
+        assert err == f"hbar must be > 0, got {float(hbar)}\n"
+
+    def test_dimensionless_oscillator_ignores_hbar(self, capsys):
+        args = ("bounds", "--system", "osc-dimless", "--steps", "3")
+        code, out, _ = run_cli(capsys, *args, "--hbar", "-1")
+        assert code == 0
+        assert out == run_cli(capsys, *args)[1]
 
 
 class TestExtremal:
@@ -171,6 +191,30 @@ class TestExtremal:
         again = json.loads(out)
         assert record == again
         assert isinstance(record["state"]["vxx"], float)
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["--mean-x", "inf"], "state.mean_x = inf"),
+            (["--mean-p", "nan"], "state.mean_p = nan"),
+            # Finite inputs whose width, moments and squeeze labels overflow.
+            (["--vxx0", "1e300", "--vpp0", "1e300"], "width.im = inf"),
+            (["--system", "free", "--m", "inf"], "t_contract = inf"),
+        ],
+    )
+    def test_non_finite_record_exits_2_before_any_output(self, capsys, tmp_path, argv, message):
+        path = tmp_path / "record.json"
+        for extra in ([], ["--output", str(path)]):
+            code, out, err = run_cli(capsys, "extremal", *argv, *extra)
+            assert (code, out) == (2, "")
+            assert err == f"extremal record is not finite: {message}\n"
+        assert not path.exists()
+
+    def test_overflowing_intermediate_exits_2(self, capsys):
+        # |w|² overflows in float ** although vpp = 1e300 itself is finite.
+        code, out, err = run_cli(capsys, "extremal", "--vxx0", "1e-300", "--vpp0", "1e300")
+        assert (code, out) == (2, "")
+        assert err.startswith("extremal state overflows the double range")
 
 
 class TestOracle:
@@ -221,6 +265,20 @@ class TestOracle:
         lines = path.read_text().strip().splitlines()
         assert lines[0] == "x,re,im,abs2"
         assert len(lines) == 1 + 4096
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["--steps", "0"], "--steps must be >= 1"),
+            (["--steps", "-3"], "--steps must be >= 1"),
+            (["--t-max", "0"], "--t-max must be > 0 and finite"),
+            (["--t-max", "nan"], "--t-max must be > 0 and finite"),
+            (["--t-max", "inf"], "--t-max must be > 0 and finite"),
+        ],
+    )
+    def test_bad_time_grid_exits_2(self, capsys, argv, message):
+        code, out, err = run_cli(capsys, "oracle", *argv)
+        assert (code, out, err) == (2, "", message + "\n")
 
 
 class TestOzawa:
@@ -407,3 +465,91 @@ class TestOzawa:
         path.write_text(json.dumps(raw))
         code, out, got = run_cli(capsys, "ozawa", "--config", str(path))
         assert (code, out, got) == (2, "", f"invalid config: {err}\n")
+
+
+def run_in_process(argv):
+    """main(argv) with stdout and stderr captured; any exception propagates."""
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+# Each float flag: a moderate positive value, or one of the values that broke
+# the CLI before (huge, tiny, zero, negative, nan, inf), or any double.
+FLAG_VALUES = st.one_of(
+    st.floats(min_value=0.05, max_value=20.0),
+    st.sampled_from([0.0, -1.0, 1e-300, 1e300, -1e300, 1.7976931348623157e308, 5e-324,
+                     math.inf, -math.inf, math.nan]),
+    st.floats(allow_nan=True, allow_infinity=True),
+)
+
+
+@st.composite
+def float_flags(draw, names):
+    """--name=value for a random subset of the flags ("=" keeps "-inf" a value)."""
+    argv = []
+    for name in names:
+        value = draw(st.one_of(st.none(), FLAG_VALUES))
+        if value is not None:
+            argv.append(f"{name}={value!r}")
+    return argv
+
+
+def assert_finite_17g(token):
+    value = float(token)
+    assert math.isfinite(value) and f"{value:.17g}" == token, token
+
+
+class TestNoInputEscapes:
+    """Every bounds/extremal call prints parseable finite output with exit 0,
+    or exits 2 with empty stdout; none raises or warns."""
+
+    # The defects this property was written against, kept as fixed cases.
+    @example(system="free", steps=2, flags=["--hbar=-1.0"])
+    @example(system="osc-dimless", steps=2, flags=["--omega=1e300", "--t-max=1e10"])
+    @settings(max_examples=400)
+    @given(
+        system=st.sampled_from(["free", "osc", "osc-dimless"]),
+        steps=st.integers(-1, 12),
+        flags=float_flags(["--m", "--omega", "--hbar", "--vxx0", "--vpp0", "--t-max"]),
+    )
+    def test_bounds(self, system, steps, flags):
+        code, out, err = run_in_process(["bounds", "--system", system, f"--steps={steps}", *flags])
+        if code == 2:
+            assert out == "" and err
+            return
+        assert code == 0, err
+        lines = out.splitlines()
+        assert lines[0] == "t,lower,upper,sql_line"
+        assert len(lines) == steps + 2
+        for line in lines[1:]:
+            fields = line.split(",")
+            assert len(fields) == 4
+            for token in fields if system == "free" else fields[:3]:
+                assert_finite_17g(token)
+            # Variances, and the line ħt/m, are never negative.
+            assert 0.0 <= float(fields[1]) <= float(fields[2]), line
+            assert system != "free" or float(fields[3]) >= 0.0, line
+
+    @example(system="osc-dimless", sign="+", flags=["--mean-x=inf"])
+    @example(system="osc-dimless", sign="+", flags=["--vxx0=1e300", "--vpp0=1e300"])
+    @example(system="osc-dimless", sign="+", flags=["--vxx0=1e-300", "--vpp0=1e300"])
+    @settings(max_examples=400)
+    @given(
+        system=st.sampled_from(["free", "osc-dimless"]),
+        sign=st.sampled_from(["+", "-"]),
+        flags=float_flags(["--m", "--hbar", "--vxx0", "--vpp0", "--mean-x", "--mean-p"]),
+    )
+    def test_extremal(self, system, sign, flags):
+        code, out, err = run_in_process(["extremal", "--system", system, f"--sign={sign}", *flags])
+        if code == 2:
+            assert out == "" and err
+            return
+        assert code == 0, err
+
+        def reject(token):
+            raise AssertionError(f"non-finite JSON token {token}")
+
+        record = json.loads(out, parse_constant=reject)
+        assert record["system"] == system

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from quvar import (
+    TRANSFER_KTAU,
     AliasingError,
     DimensionlessOscillator,
     ExtremalSpec,
@@ -30,7 +31,7 @@ from quvar import (
 )
 from quvar import gridsim
 from quvar.bounds import envelope
-from quvar.gridsim import OracleRow
+from quvar.gridsim import OracleRow, joint_moments, sample_joint
 
 SQRT3 = math.sqrt(3.0)
 
@@ -395,3 +396,56 @@ class TestWavefnCsv:
         assert len(lines) == 1 + 2**10
         x, re, im, abs2 = (float(tok) for tok in lines[1].split(","))
         assert abs2 == pytest.approx(re * re + im * im)
+
+
+def _ten_integral_moments(amps, grid_x, grid_y, hbar=1.0):
+    """The earlier joint_moments body: ten hand-written 2-D integrals."""
+
+    def integrate(f):
+        return float(np.trapezoid(np.trapezoid(f, dx=grid_y.dx, axis=1), dx=grid_x.dx))
+
+    x = grid_x.points()[:, None]
+    y = grid_y.points()[None, :]
+    dens = np.abs(amps) ** 2
+    norm = integrate(dens)
+    mx = integrate(x * dens) / norm
+    my = integrate(y * dens) / norm
+    dev_x, dev_y = x - mx, y - my
+    px = grid_x.momenta(hbar)[:, None]
+    py = grid_y.momenta(hbar)[None, :]
+    px_amps = np.fft.ifft(px * np.fft.fft(amps, axis=0), axis=0)
+    py_amps = np.fft.ifft(py * np.fft.fft(amps, axis=1), axis=1)
+    conj = np.conj(amps)
+    mpx = integrate(np.real(conj * px_amps)) / norm
+    mpy = integrate(np.real(conj * py_amps)) / norm
+    dpx_amps = px_amps - mpx * amps
+    dpy_amps = py_amps - mpy * amps
+    cov = np.zeros((4, 4))
+    cov[0, 0] = integrate(dev_x**2 * dens) / norm
+    cov[2, 2] = integrate(dev_y**2 * dens) / norm
+    cov[0, 2] = integrate(dev_x * dev_y * dens) / norm
+    cov[1, 1] = integrate(np.abs(dpx_amps) ** 2) / norm
+    cov[3, 3] = integrate(np.abs(dpy_amps) ** 2) / norm
+    cov[1, 3] = integrate(np.real(np.conj(dpx_amps) * dpy_amps)) / norm
+    cov[0, 1] = integrate(np.real(conj * dev_x * dpx_amps)) / norm
+    cov[0, 3] = integrate(np.real(conj * dev_x * dpy_amps)) / norm
+    cov[1, 2] = integrate(np.real(conj * dev_y * dpx_amps)) / norm
+    cov[2, 3] = integrate(np.real(conj * dev_y * dpy_amps)) / norm
+    cov = cov + np.triu(cov, 1).T
+    return np.array([mx, mpx, my, mpy]), cov, norm
+
+
+class TestJointMoments:
+    @pytest.mark.parametrize("ktau", [TRANSFER_KTAU, 0.3])
+    def test_gram_matrix_matches_the_ten_integrals(self, ktau):
+        system = ExtremalSpec.from_variances(1.2, 0.4, 0.8, 1)
+        meter = ExtremalSpec.from_variances(0.6, 1.5, 0.8, 1)
+        gx = Grid.centered(-0.4, 15.0, 256)
+        gy = Grid.centered(-0.4, 15.0, 256)
+        amps = sample_joint(system.width, (-0.4, 0.6), meter.width, ktau, gx, gy, 0.8, (0.1, -0.2))
+        got, norm = joint_moments(amps, gx, gy, 0.8)
+        mean, cov, want_norm = _ten_integral_moments(amps, gx, gy, 0.8)
+        assert norm == pytest.approx(want_norm, abs=1e-15)
+        np.testing.assert_allclose(got.mean, mean, rtol=0, atol=1e-15)
+        np.testing.assert_allclose(got.cov, cov, rtol=0, atol=1e-15)
+        assert np.array_equal(got.cov, got.cov.T)
