@@ -209,7 +209,6 @@ def _cmd_oracle(args) -> int:
             hbar=hbar,
             n=args.n,
             domain_sigmas=args.domain_sigmas,
-            n_steps=args.n_steps,
             tolerance=args.tolerance,
         )
         if args.dump_psi:
@@ -222,6 +221,9 @@ def _cmd_oracle(args) -> int:
         return EXIT_VERIFY
     except ValueError as exc:
         print(str(exc), file=sys.stderr)
+        return EXIT_USAGE
+    except OverflowError as exc:  # float ** past the double range, e.g. |w|² at vxx0 = 1e-300
+        print(f"oracle state overflows the double range: {exc}", file=sys.stderr)
         return EXIT_USAGE
     print(report.render())
     return EXIT_OK if report.ok else EXIT_VERIFY
@@ -301,12 +303,6 @@ def build_parser() -> argparse.ArgumentParser:
     po.add_argument("--n", type=int, default=2**14)
     po.add_argument("--domain-sigmas", type=float, default=40.0)
     po.add_argument("--tolerance", type=float, default=1e-8)
-    po.add_argument(
-        "--n-steps",
-        type=int,
-        default=None,
-        help="default: exact chirp propagator; N selects the split step",
-    )
     po.add_argument("--dump-psi", default=None, help="write the initial |psi|^2 as CSV")
     po.set_defaults(func=_cmd_oracle)
 

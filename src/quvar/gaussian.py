@@ -97,18 +97,23 @@ class FreeMass:
 class _Rotation:
     """Oscillator flow: rotation by θ = ωt of (x, p/s), s = self._scale = mω."""
 
+    def _phase(self, ts: list[float]) -> list[float]:
+        """Overwrite each t with ωt, checked: math.cos of an overflowed phase only
+        says "math domain error". In place: a table's t list can hold 10⁵ floats."""
+        for i, t in enumerate(ts):
+            ts[i] = th = self.omega * t
+            if not math.isfinite(th):
+                raise ValueError(f"phase omega*t is not finite at t = {t}")
+        return ts
+
     def _flow(self, t: float) -> np.ndarray:
-        th, mw = self.omega * t, self._scale
+        (th,), mw = self._phase([float(t)]), self._scale
         c, s = math.cos(th), math.sin(th)
         return np.array([[c, s / mw], [-mw * s, c]])
 
     def _x_row(self, t: float | np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        ts = np.atleast_1d(t)
-        with np.errstate(all="ignore"):
-            th = self.omega * ts
-        if not np.isfinite(th).all():  # math.cos would only say "math domain error"
-            raise ValueError(f"phase omega*t is not finite at t = {ts[~np.isfinite(th)][0]}")
-        th, mw, n = th.tolist(), self._scale, len(ts)
+        th = self._phase(np.atleast_1d(t).tolist())
+        mw, n = self._scale, len(th)
         # libm and Python's ** per element: numpy's a ** 2 is a*a, which rounds
         # unlike pow on ~0.09 % of doubles, and the table's bytes would change.
         cos2 = np.fromiter((math.cos(x) ** 2 for x in th), float, n)

@@ -17,11 +17,12 @@ Conventions (bit-exact, since vpp depends on them):
 
 Free evolution is exact up to discretization (pure momentum-space phase).
 So is the oscillator (chirp–FFT–chirp, coefficients from the Hamiltonian,
-never from the closed-form flow it checks); the symmetric split step, second
-order in t/n_steps, runs on request. All preserve the norm to rounding.
-The public propagate_* check the input's momentum resolution, run an
-unchecked core and check the result's 8σ window and norm. The oracle checks
-its ψ0 once per run; each time then costs one propagation and one moments().
+never from the closed-form flow it checks), the oracle's one route; the
+split step propagate_osc stays as the tests' reference for it. All preserve
+the norm to rounding. The public propagate_* check the input's momentum
+resolution, run an unchecked core and check the result's 8σ window and norm.
+The oracle checks its ψ0 once, then costs one propagation and one moments()
+per time.
 
 The two-mode oracle checks quvar.ozawa's covariance algebra the same way.
 The coupling's position block has unit determinant, so the coupled joint
@@ -38,7 +39,7 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .bounds import envelope
+from .bounds import _check, envelope
 from .extremal import ExtremalSpec, gaussian_from_extremal
 from .gaussian import (
     DimensionlessOscillator,
@@ -46,6 +47,7 @@ from .gaussian import (
     GaussianState,
     PhysConfig,
     SystemModel,
+    _require_valid,
     evolve,
     flow_map,
     validate_state,
@@ -91,8 +93,8 @@ class Grid:
     n: int
 
     def __post_init__(self) -> None:
-        if not self.x_max > self.x_min:
-            raise ValueError(f"x_max must exceed x_min, got [{self.x_min}, {self.x_max}]")
+        if not 0 < self.x_max - self.x_min < math.inf:
+            raise ValueError(f"x_max - x_min must be > 0 and finite: [{self.x_min}, {self.x_max}]")
         if self.n < 2 or (self.n & (self.n - 1)) != 0:
             raise ValueError(f"n must be a power of two >= 2, got {self.n}")
 
@@ -363,7 +365,7 @@ def propagate_osc_exact(psi: WaveFn, m: float, omega: float, t: float) -> WaveFn
     return _checked(_exact(psi, m, omega, t))
 
 
-def _route(model: SystemModel, t: float, n_steps: Optional[int]):
+def _route(model: SystemModel, t: float):
     """(core, args): _propagate runs core(ψ, *args); core None copies ψ."""
     if isinstance(model, FreeMass):
         return _free, (model.m, t)
@@ -371,19 +373,13 @@ def _route(model: SystemModel, t: float, n_steps: Optional[int]):
         if model.omega == 0.0 or t == 0.0:
             return None, ()
         # i∂ψ/∂t = ½ω(−∂² + x²)ψ is an oscillator with m_eff = 1/ω, ω_eff = ω.
-        m, omega = 1.0 / model.omega, model.omega
-    else:
-        m, omega = model.m, model.omega
-    if n_steps is None:
-        return _exact, (m, omega, t)
-    if n_steps < 1:
-        raise ValueError(f"n_steps must be >= 1, got {n_steps}")
-    return _split, (m, omega, t, n_steps)
+        return _exact, (1.0 / model.omega, model.omega, t)
+    return _exact, (model.m, model.omega, t)
 
 
-def _propagate(psi: WaveFn, model: SystemModel, t: float, n_steps: Optional[int]) -> WaveFn:
+def _propagate(psi: WaveFn, model: SystemModel, t: float) -> WaveFn:
     """Unchecked: the oracle runs the input checks once and the result check per time."""
-    core, args = _route(model, t, n_steps)
+    core, args = _route(model, t)
     if core is None:
         return WaveFn(grid=psi.grid, amps=psi.amps.copy(), hbar=psi.hbar)
     return core(psi, *args)
@@ -441,7 +437,6 @@ def verify_bounds_oracle(
     hbar: float = 1.0,
     n: int = 2**14,
     domain_sigmas: float = 40.0,
-    n_steps: Optional[int] = None,
     tolerance: float = 1e-8,
 ) -> OracleReport:
     """Propagate a sampled state on the grid and compare against closed forms.
@@ -450,12 +445,15 @@ def verify_bounds_oracle(
     symplectic evolution of quvar.gaussian and (b) the envelope value of
     quvar.bounds the pure state must saturate. Any pure Gaussian works as a
     target: passing a GaussianState requires a saturated SR margin (a mixed
-    covariance has no single wavefunction). Oscillators propagate with the
-    exact chirp–FFT–chirp factorization by default; an integer n_steps
-    selects the symmetric split step with that many steps instead. The input
-    checks run once on ψ0; per time the cost is one propagation and one
-    moments(), whose values the result check reuses.
+    covariance has no single wavefunction). The arguments, the initial state
+    and (by one envelope and one x-row call) every t and phase ωt are checked
+    before any flow map, sampling or FFT; then ψ0 is checked once, and each
+    time costs one exact propagation and one moments().
     """
+    if not 0 <= tolerance < math.inf:
+        raise ValueError(f"tolerance must be >= 0 and finite, got {tolerance}")
+    if not 0 < domain_sigmas < math.inf:
+        raise ValueError(f"domain_sigmas must be > 0 and finite, got {domain_sigmas}")
     hbar = model._hbar(hbar)
     if isinstance(target, GaussianState):
         spec = _spec_from_state(target, hbar)
@@ -463,37 +461,38 @@ def verify_bounds_oracle(
     else:
         spec = target
     state0 = gaussian_from_extremal(spec, mean_x, mean_p, hbar)
+    config = PhysConfig(hbar)
+    _require_valid(state0, model, config)
 
     times = [float(t) for t in times]
     if not times:
         raise ValueError("times must be a non-empty sequence")
-    config = PhysConfig(hbar)
-    # Domain must hold the state at every requested time: track the drifting
-    # mean and the envelope's worst-case spread.
-    lo, hi = math.inf, -math.inf
-    for t in [0.0, *times]:
-        m_t = float((flow_map(model, t) @ state0.mean)[0])
-        sig = math.sqrt(envelope(model, state0.vxx, state0.vpp, t, hbar).upper)
-        lo = min(lo, m_t - domain_sigmas * sig)
-        hi = max(hi, m_t + domain_sigmas * sig)
-    grid = Grid(x_min=lo, x_max=hi, n=n)
+    ts = np.array([0.0, *times])  # row 0 is t = 0
+    pair = envelope(model, state0.vxx, state0.vpp, ts, hbar)
+    # The saturating state rides the lower side while sign·cxp ≥ 0.
+    sides = spec.sign * model._x_row(ts[1:])[2] >= 0
+    refs = np.where(sides, pair.lower[1:], pair.upper[1:]).tolist()
+    # The domain must hold the state at every requested time: the drifting
+    # mean ± domain_sigmas envelope σ. An overflow is reported, not warned about.
+    with np.errstate(all="ignore"):
+        m_t = np.array([(flow_map(model, t) @ state0.mean)[0] for t in ts.tolist()])
+        half = domain_sigmas * np.sqrt(pair.upper)
+        _check(np.isfinite(m_t), ts, "mean position is not finite at t = {}")
+        grid = Grid(x_min=float(np.min(m_t - half)), x_max=float(np.max(m_t + half)), n=n)
     psi0 = sample_extremal(spec, mean_x, mean_p, grid, hbar)
     # Every time starts from ψ0: check it once, as the first propagator run would.
-    routes = [_route(model, t, n_steps) for t in times]
+    routes = [_route(model, t) for t in times]
     core, args = next((r for r in routes if r[0] is not None), (None, ()))
     if core is not None:
         _check_input(psi0, args[0] * args[1] if core is _exact else None)
 
     rows = []
-    for t in times:
-        psi_t = _propagate(psi0, model, t, n_steps)
+    for t, env in zip(times, refs):
+        psi_t = _propagate(psi0, model, t)
         got = moments(psi_t)
         _check_result(psi_t, got)
         want = evolve(state0, model, t, config)
         moment_dev = max(abs(getattr(got, f) - v) for f, v in vars(want).items())
-        # The saturating state rides the lower side while sign·cxp ≥ 0.
-        pair = envelope(model, state0.vxx, state0.vpp, t, hbar)
-        env = pair.lower if spec.sign * model._x_row(t)[2] >= 0 else pair.upper
         rows.append(OracleRow(t=t, moment_dev=moment_dev, envelope_dev=abs(got.vxx - env)))
 
     max_m = max(r.moment_dev for r in rows)

@@ -202,13 +202,7 @@ def read_meter(joint: TwoModeGaussian, y_reading: float) -> GaussianState:
     cross = joint.cov[[0, 1], 2]
     post_cov = joint.cov[:2, :2] - np.outer(cross, cross) / vyy
     post_mean = joint.mean[:2] + cross * (y_reading - joint.mean[2]) / vyy
-    return GaussianState(
-        mean_x=float(post_mean[0]),
-        mean_p=float(post_mean[1]),
-        vxx=float(post_cov[0, 0]),
-        vpp=float(post_cov[1, 1]),
-        vxp=float(0.5 * (post_cov[0, 1] + post_cov[1, 0])),
-    )
+    return GaussianState.from_moments(post_mean, post_cov)
 
 
 class ConfigError(ValueError):
@@ -286,6 +280,11 @@ class OzawaConfig:
             raise ConfigError("meter_variances", str(exc)) from exc
         if self.T is not None and not self.T > self.tau:
             raise ConfigError("T", f"must exceed tau = {self.tau}, got {self.T}")
+        try:  # the free flow over T − τ must be finite; an overflowing phase ωt raises
+            if self.T is not None and not np.isfinite(self.system._flow(self.T - self.tau)).all():
+                raise ValueError(f"flow over T - tau = {self.T - self.tau} is not finite")
+        except ValueError as exc:
+            raise ConfigError("T", str(exc)) from exc
         if self.mode not in ("sample", "mean"):
             raise ConfigError("mode", f"must be 'sample' or 'mean', got {self.mode!r}")
         report = validate_state(self.initial_system, PhysConfig(self.hbar))

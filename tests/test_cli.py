@@ -280,6 +280,40 @@ class TestOracle:
         code, out, err = run_cli(capsys, "oracle", *argv)
         assert (code, out, err) == (2, "", message + "\n")
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["--tolerance=nan"], "tolerance must be >= 0 and finite, got nan"),
+            (["--tolerance=-1"], "tolerance must be >= 0 and finite, got -1.0"),
+            (["--domain-sigmas=0"], "domain_sigmas must be > 0 and finite, got 0.0"),
+            (["--domain-sigmas=-1"], "domain_sigmas must be > 0 and finite, got -1.0"),
+            (["--domain-sigmas=nan"], "domain_sigmas must be > 0 and finite, got nan"),
+            (["--mean-x=inf"], "mean_x must be finite, got inf"),
+            # The t is named before any flow map runs: no RuntimeWarning first.
+            (["--times=inf"], "t must be >= 0 and finite, got inf"),
+            (["--system=osc-dimless", "--omega=1e300", "--times=1e10"],
+             "phase omega*t is not finite at t = 10000000000.0"),
+            # ⟨X⟩ + ⟨P⟩t/m overflows: it raised a RuntimeWarning from the flow map.
+            (["--mean-p=1.7976931348623157e308", "--times=2.0"],
+             "mean position is not finite at t = 2.0"),
+        ],
+    )
+    def test_bad_numbers_exit_2_naming_them(self, capsys, argv, message):
+        code, out, err = run_cli(capsys, "oracle", *argv)
+        assert (code, out, err) == (2, "", message + "\n")
+
+    def test_overflowing_state_exits_2(self, capsys):
+        # |w|² of the saturating state overflows in float ** (an OverflowError).
+        code, out, err = run_cli(capsys, "oracle", "--vxx0=1e-300", "--vpp0=1e300", "--times=0.1")
+        assert (code, out) == (2, "")
+        assert err.startswith("oracle state overflows the double range: ")
+
+    def test_split_step_option_is_gone(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["oracle", "--n-steps", "4"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --n-steps" in capsys.readouterr().err
+
 
 class TestOzawa:
     def test_reference_config_trace(self, capsys):
@@ -438,6 +472,20 @@ class TestOzawa:
         assert code == 2
         assert "horizon" in err
 
+    @pytest.mark.parametrize(
+        "system",
+        [{"variant": "free_mass", "m": 1e-300},
+         {"variant": "dimensionless_oscillator", "omega": 1e300}],
+    )
+    def test_non_finite_flow_over_the_period_exits_2(self, capsys, tmp_path, system):
+        raw = json.loads(open(REFERENCE_CONFIG).read())
+        raw.update(system=system, T=1e10)
+        path = tmp_path / "overflow.json"
+        path.write_text(json.dumps(raw))
+        code, out, err = run_cli(capsys, "ozawa", "--config", str(path))
+        assert (code, out) == (2, "")
+        assert err.startswith("invalid config: T: ")
+
     def test_negative_seed_exits_2(self, capsys, tmp_path):
         raw = json.loads(open(REFERENCE_CONFIG).read())
         raw["seed"] = -1
@@ -503,7 +551,9 @@ def assert_finite_17g(token):
 
 class TestNoInputEscapes:
     """Every bounds/extremal call prints parseable finite output with exit 0,
-    or exits 2 with empty stdout; none raises or warns."""
+    or exits 2 with empty stdout; none raises or warns. Every oracle call
+    exits 0 or 1 with a finite report (or, on a grid failure, empty stdout),
+    or exits 2 with empty stdout."""
 
     # The defects this property was written against, kept as fixed cases.
     @example(system="free", steps=2, flags=["--hbar=-1.0"])
@@ -553,3 +603,44 @@ class TestNoInputEscapes:
 
         record = json.loads(out, parse_constant=reject)
         assert record["system"] == system
+
+    # The defects this property was written against, kept as fixed cases.
+    @example(system="osc-dimless", sign="+", n=256, flags=["--omega=1e300", "--times=1e10"])
+    @example(system="free", sign="+", n=256, flags=["--vxx0=1e-300", "--vpp0=1e300", "--times=.1"])
+    @example(system="free", sign="+", n=256, flags=["--tolerance=nan"])
+    @example(system="free", sign="+", n=256, flags=["--tolerance=-1.0"])
+    @example(system="free", sign="+", n=256, flags=["--domain-sigmas=0.0"])
+    @example(system="free", sign="+", n=256, flags=["--mean-x=inf"])
+    @example(system="free", sign="+", n=256, flags=["--times=inf"])
+    @example(system="free", sign="+", n=2, flags=["--mean-p=1.7976931348623157e+308"])
+    @example(system="free", sign="+", n=2, flags=["--mean-x=1.7976931348623157e308",
+                                                  "--domain-sigmas=1e300"])
+    # Random flags rarely leave a grid this small usable: pin both report outcomes.
+    @example(system="free", sign="+", n=256, flags=["--times=0.5"])
+    @example(system="free", sign="+", n=256, flags=["--times=0.5", "--tolerance=0.0"])
+    @example(system="osc", sign="+", n=256, flags=["--times=0.5", "--domain-sigmas=12.0"])
+    @example(system="osc-dimless", sign="-", n=256, flags=["--domain-sigmas=12.0"])
+    @settings(max_examples=400)
+    @given(
+        system=st.sampled_from(["free", "osc", "osc-dimless"]),
+        sign=st.sampled_from(["+", "-"]),
+        # Never a large n: 2**30 points would ask numpy for 8 GiB.
+        n=st.sampled_from([2, 3, 64, 256]),
+        flags=float_flags(["--m", "--omega", "--hbar", "--vxx0", "--vpp0", "--mean-x",
+                           "--mean-p", "--t-max", "--tolerance", "--domain-sigmas", "--times"]),
+    )
+    def test_oracle(self, system, sign, n, flags):
+        argv = ["oracle", "--system", system, f"--sign={sign}", f"--n={n}", *flags]
+        code, out, err = run_in_process(argv)
+        if code == 2 or out == "":
+            assert code in (1, 2) and out == "" and err, (code, err)
+            return
+        assert code in (0, 1), err
+        lines = out.splitlines()
+        assert lines[0] == "t,moment_dev,envelope_dev"
+        for line in lines[1:-1]:
+            fields = line.split(",")
+            assert len(fields) == 3, line
+            for token in fields:
+                assert_finite_17g(token)
+        assert lines[-1].endswith(": OK" if code == 0 else ": FAIL"), lines[-1]

@@ -120,8 +120,15 @@ def cross_field_breaks(raw) -> set[str]:
     # Products overflow to inf where ** raises; an overflowing margin is broken too.
     if not quarter <= vxx * vpp - vxp * vxp < math.inf:
         broken.add("initial_system")
-    if isinstance(raw.get("T"), (int, float)) and not raw["T"] > raw["tau"]:
-        broken.add("T")
+    if isinstance(raw.get("T"), (int, float)):
+        system, wait = raw["system"], float(raw["T"]) - float(raw["tau"])
+        # The free flow over T − τ must be finite: its shear (T − τ)/m or phase ω(T − τ).
+        if system["variant"] == "free_mass":
+            entry = wait / float(system["m"])
+        else:
+            entry = wait * float(system["omega"])
+        if not (raw["T"] > raw["tau"] and abs(entry) < math.inf):
+            broken.add("T")
     if raw["system"]["variant"] == "dimensionless_oscillator" and hbar != 1.0:
         broken.add("hbar")
     if raw["system"]["variant"] == "oscillator":
@@ -164,6 +171,8 @@ def changed(*path_and_value):
 @example(changed("k", 10**400))
 @example(changed("initial_system", "mean_x", -(2**1024) + 2**970))
 @example(changed("system", {"variant": "oscillator", "m": 1e-300, "omega": 1e-3}))
+@example(dict(changed("T", 1e10), system={"variant": "free_mass", "m": 1e-300}))
+@example(dict(changed("T", 1e10), system={"variant": "dimensionless_oscillator", "omega": 1e300}))
 @settings(max_examples=1000, deadline=None)
 @given(configs())
 def test_schema_and_validator_agree(raw):

@@ -82,7 +82,7 @@ def test_oracle_extremal_variance_is_the_closed_form_variance(model, sign, vxx, 
     # Stand the exact closed form in for the grid: envelope_dev is then the
     # gap between the oracle's extremal variance and the closed-form variance.
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(gridsim, "_propagate", lambda psi, model, t, n_steps: psi)
+        mp.setattr(gridsim, "_propagate", lambda psi, model, t: psi)
         mp.setattr(gridsim, "moments", lambda psi: Moments(norm=1.0, **exact))
         report = verify_bounds_oracle(spec, model, [t], hbar=0.8, n=2**16)
     assert report.rows[0].envelope_dev <= 1e-12 * envelope(model, vxx, vpp, t, hbar).upper

@@ -126,6 +126,17 @@ class TestFlowMap:
             flow_map(DimensionlessOscillator(omega=0.0), 7.3), np.eye(2)
         )
 
+    @pytest.mark.parametrize(
+        "model", [DimensionlessOscillator(omega=1e300), Oscillator(m=1e-300, omega=1e300)]
+    )
+    def test_overflowing_phase_is_named(self, model):
+        # math.cos of the infinite phase raised only "math domain error".
+        message = r"phase omega\*t is not finite at t = 10000000000.0"
+        with pytest.raises(ValueError, match=message):
+            flow_map(model, 1e10)
+        with pytest.raises(ValueError, match=message):
+            model._x_row([0.5, 1e10])
+
     @given(models, st.floats(-10.0, 10.0))
     def test_determinant_one_everywhere(self, model, t):
         assert abs(np.linalg.det(flow_map(model, t)) - 1.0) <= 1e-12

@@ -52,6 +52,11 @@ class TestGrid:
         with pytest.raises(ValueError, match="x_max"):
             Grid(1.0, 1.0, 64)
 
+    @pytest.mark.parametrize("bounds", [(-math.inf, 0.0), (0.0, math.nan), (-1e308, 1e308)])
+    def test_rejects_an_interval_of_no_finite_length(self, bounds):
+        with pytest.raises(ValueError, match="> 0 and finite"):
+            Grid(*bounds, 64)
+
     def test_momentum_convention(self):
         g = Grid(-5.0, 5.0, 8)
         p = g.momenta(hbar=2.0)
@@ -296,7 +301,6 @@ class TestVerifyBoundsOracle:
             [0.6],
             n=2**12,
             domain_sigmas=15.0,
-            n_steps=2048,
             tolerance=1e-6,
         )
         assert report.ok
@@ -307,16 +311,15 @@ class TestVerifyBoundsOracle:
             verify_bounds_oracle(mixed, FreeMass(m=1.0), [0.5])
 
 
-# (model, ħ passed, times, n_steps); n = 1024 throughout.
+# (model, ħ passed, times); n = 1024 throughout.
 ORACLE_CASES = [
-    (FreeMass(m=1.7), 0.8, [0.5, 1.2, 2.5], None),
-    (Oscillator(m=1.5, omega=0.7), 0.8, [0.5, 2.0, 3.5, 4.4], None),
-    (DimensionlessOscillator(omega=1.3), 0.8, [0.0, 0.3, 1.5, 3.0], None),
-    (Oscillator(m=1.5, omega=0.7), 0.8, [0.5, 2.0], 64),
+    (FreeMass(m=1.7), 0.8, [0.5, 1.2, 2.5]),
+    (Oscillator(m=1.5, omega=0.7), 0.8, [0.5, 2.0, 3.5, 4.4]),
+    (DimensionlessOscillator(omega=1.3), 0.8, [0.0, 0.3, 1.5, 3.0]),
 ]
 
 
-def _hand_oracle(spec, model, times, hbar, n, n_steps):
+def _hand_oracle(spec, model, times, hbar, n):
     """verify_bounds_oracle's rows, spelled out as a loop of public calls."""
     hbar = model._hbar(hbar)
     state0 = gaussian_from_extremal(spec, 0.0, 0.0, hbar)
@@ -334,10 +337,7 @@ def _hand_oracle(spec, model, times, hbar, n, n_steps):
             psi_t = psi0
         else:
             m = 1.0 / model.omega if isinstance(model, DimensionlessOscillator) else model.m
-            if n_steps is None:
-                psi_t = propagate_osc_exact(psi0, m, model.omega, t)
-            else:
-                psi_t = propagate_osc(psi0, m, model.omega, t, n_steps)
+            psi_t = propagate_osc_exact(psi0, m, model.omega, t)
         got = moments(psi_t)
         want = evolve(state0, model, t, PhysConfig(hbar))
         moment_dev = max(
@@ -355,14 +355,14 @@ def _hand_oracle(spec, model, times, hbar, n, n_steps):
 
 class TestOracleBitIdentity:
     @pytest.mark.parametrize("sign", [1, -1])
-    @pytest.mark.parametrize("model, hbar, times, n_steps", ORACLE_CASES)
-    def test_rows_equal_a_loop_of_public_calls(self, model, hbar, times, n_steps, sign):
+    @pytest.mark.parametrize("model, hbar, times", ORACLE_CASES)
+    def test_rows_equal_a_loop_of_public_calls(self, model, hbar, times, sign):
         spec = ExtremalSpec.from_variances(0.9, 1.1, model._hbar(hbar), sign)
-        report = verify_bounds_oracle(spec, model, times, hbar=hbar, n=1024, n_steps=n_steps)
-        assert report.rows == _hand_oracle(spec, model, times, hbar, 1024, n_steps)
+        report = verify_bounds_oracle(spec, model, times, hbar=hbar, n=1024)
+        assert report.rows == _hand_oracle(spec, model, times, hbar, 1024)
 
-    @pytest.mark.parametrize("model, hbar, times, n_steps", ORACLE_CASES)
-    def test_one_moments_call_per_time_plus_one(self, monkeypatch, model, hbar, times, n_steps):
+    @pytest.mark.parametrize("model, hbar, times", ORACLE_CASES)
+    def test_one_moments_call_per_time_plus_one(self, monkeypatch, model, hbar, times):
         calls = []
         real = gridsim.moments
 
@@ -372,8 +372,22 @@ class TestOracleBitIdentity:
 
         monkeypatch.setattr(gridsim, "moments", counting)
         spec = ExtremalSpec.from_variances(0.9, 1.1, model._hbar(hbar), 1)
-        verify_bounds_oracle(spec, model, times, hbar=hbar, n=1024, n_steps=n_steps)
+        verify_bounds_oracle(spec, model, times, hbar=hbar, n=1024)
         assert len(calls) == len(times) + 1
+
+    @pytest.mark.parametrize("model, hbar, times", ORACLE_CASES)
+    def test_one_envelope_call_per_run(self, monkeypatch, model, hbar, times):
+        calls = []
+        real = gridsim.envelope
+
+        def counting(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(gridsim, "envelope", counting)
+        spec = ExtremalSpec.from_variances(0.9, 1.1, model._hbar(hbar), 1)
+        verify_bounds_oracle(spec, model, times, hbar=hbar, n=1024)
+        assert len(calls) == 1
 
     def test_input_checks_run_only_where_a_propagator_runs(self):
         # At ⟨X⟩ = 30 the chirped intermediate outruns dx; t = 0 of the
@@ -384,7 +398,40 @@ class TestOracleBitIdentity:
         assert [row.t for row in report.rows] == [0.0]
         with pytest.raises(AliasingError, match="chirped intermediate"):
             verify_bounds_oracle(spec, model, [0.0, 0.5], mean_x=30.0, n=1024)
-        verify_bounds_oracle(spec, model, [0.0, 0.5], mean_x=30.0, n=1024, n_steps=64)
+
+
+class TestOracleArguments:
+    """Bad numbers raise a ValueError that names them, before any grid work."""
+
+    @pytest.fixture(autouse=True)
+    def no_grid_work(self, monkeypatch):
+        def fail(*args, **kwargs):
+            raise AssertionError("grid work ran on a rejected input")
+
+        for name in ("flow_map", "sample_extremal", "_propagate"):
+            monkeypatch.setattr(gridsim, name, fail)
+
+    @pytest.mark.parametrize(
+        "kwargs, message",
+        [
+            (dict(tolerance=math.nan), "tolerance must be >= 0 and finite, got nan"),
+            (dict(tolerance=-1.0), "tolerance must be >= 0 and finite, got -1.0"),
+            (dict(tolerance=math.inf), "tolerance must be >= 0 and finite, got inf"),
+            (dict(domain_sigmas=0.0), "domain_sigmas must be > 0 and finite, got 0.0"),
+            (dict(domain_sigmas=-1.0), "domain_sigmas must be > 0 and finite, got -1.0"),
+            (dict(domain_sigmas=math.nan), "domain_sigmas must be > 0 and finite, got nan"),
+            (dict(mean_x=math.inf), "mean_x must be finite, got inf"),
+            (dict(times=[0.5, math.inf]), "t must be >= 0 and finite, got inf"),
+            (dict(times=[0.5, -1.0]), "t must be >= 0 and finite, got -1.0"),
+            (dict(model=DimensionlessOscillator(omega=1e300), times=[0.5, 1e10]),
+             "phase omega*t is not finite at t = 10000000000.0"),
+        ],
+    )
+    def test_rejected_before_any_grid_work(self, kwargs, message):
+        args = dict(target=CONTRACTIVE, model=FreeMass(m=1.0), times=[0.5]) | kwargs
+        with pytest.raises(ValueError) as err:
+            verify_bounds_oracle(**args)
+        assert str(err.value) == message
 
 
 class TestWavefnCsv:

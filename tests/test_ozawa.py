@@ -339,6 +339,10 @@ class TestConfig:
             # A JSON integer beyond the float range: float() would overflow.
             (dict(k=10**400), "k"),
             (dict(T=-(10**400)), "T"),
+            # A finite T whose flow over T − τ is not: (T − τ)/m or ω(T − τ) overflows.
+            (dict(system=FreeMass(m=1e-300), T=1e10), "T"),
+            (dict(system=DimensionlessOscillator(omega=1e300), T=1e10), "T"),
+            (dict(system=Oscillator(m=1e-300, omega=1e300), T=1e10), "T"),
         ],
     )
     def test_violations_name_the_field(self, overrides, field):
