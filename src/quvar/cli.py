@@ -307,7 +307,7 @@ def build_parser() -> argparse.ArgumentParser:
     po.set_defaults(func=_cmd_oracle)
 
     pz = sub.add_parser("ozawa", help="repeated-measurement protocol trace as CSV")
-    pz.add_argument("--config", required=True, help="JSON config (see schemas/)")
+    pz.add_argument("--config", required=True, help="JSON config (see ozawa_config.schema.json)")
     pz.add_argument("--strict", action="store_true", help="promote regime warnings to exit 1")
     pz.add_argument("--output", default=None)
     pz.set_defaults(func=_cmd_ozawa)

@@ -478,7 +478,10 @@ def verify_bounds_oracle(
         m_t = np.array([(flow_map(model, t) @ state0.mean)[0] for t in ts.tolist()])
         half = domain_sigmas * np.sqrt(pair.upper)
         _check(np.isfinite(m_t), ts, "mean position is not finite at t = {}")
-        grid = Grid(x_min=float(np.min(m_t - half)), x_max=float(np.max(m_t + half)), n=n)
+        x_min, x_max = float(np.min(m_t - half)), float(np.max(m_t + half))
+        if not x_max > x_min:  # the half-width vanished next to the mean
+            raise ValueError(f"domain_sigmas = {domain_sigmas} gives no domain: [{x_min}, {x_max}]")
+        grid = Grid(x_min, x_max, n)
     psi0 = sample_extremal(spec, mean_x, mean_p, grid, hbar)
     # Every time starts from ψ0: check it once, as the first propagator run would.
     routes = [_route(model, t) for t in times]

@@ -29,9 +29,13 @@ variance from ever exceeding the meter's.
 
 from __future__ import annotations
 
+import functools
+import json
 import math
+import operator
 import sys
 from dataclasses import asdict, dataclass, fields
+from importlib import resources
 from typing import Iterator, Optional
 
 import numpy as np
@@ -213,26 +217,90 @@ class ConfigError(ValueError):
         self.field = field_name
 
 
-def _require_finite(name: str, value: float) -> None:
-    # abs() <= max compares an int exactly, where math.isfinite and float()
-    # raise OverflowError on a JSON integer beyond the float range (10**400).
-    if not abs(value) <= sys.float_info.max:
-        raise ConfigError(name, f"must be finite, got {value}")
-
-
 class RegimeError(RuntimeError):
     """Strict mode: regime warnings promoted to an error."""
+
+
+_MODELS = {"free_mass": FreeMass, "oscillator": Oscillator,
+           "dimensionless_oscillator": DimensionlessOscillator}
+_VARIANTS = {model: variant for variant, model in _MODELS.items()}
+_TYPES = {"object": (dict, "an object"), "null": (type(None), "null"),
+          "number": ((int, float), "a number"), "integer": ((int, float), "an integer")}
+# The top-level numbers, each as the run reads it (JSON's 3.0 is an integer).
+_NUMBERS = dict(k=float, tau=float, N=int, Omega=float, delta_tau=float, seed=int, hbar=float)
+_BOUNDS = (("minimum", ">=", operator.lt), ("exclusiveMinimum", ">", operator.le),
+           ("maximum", "<=", operator.gt))
+
+
+@functools.cache
+def _schema() -> dict:
+    """The config schema shipped beside this module, read on first use."""
+    return json.loads((resources.files(__package__) / "ozawa_config.schema.json").read_text())
+
+
+def _error(value, schema: dict, label: str) -> Optional[ConfigError]:
+    try:
+        _check(value, schema, label)
+    except ConfigError as exc:
+        return exc
+
+
+def _check(value, schema: dict, label: str = "") -> None:
+    """Raise ConfigError naming the dotted field where value breaks the schema.
+    Reads the keywords ozawa_config.schema.json uses and no others: type
+    (object, number, integer, null), required, properties, additionalProperties:
+    false, const, enum, minimum, exclusiveMinimum, maximum, oneOf, allOf, if/then.
+    """
+    where, kind = label or "config", schema.get("type")
+    if kind:
+        cls, what = _TYPES[kind]
+        # JSON has one number type: 3.0 is an integer, as the schema reads it.
+        if isinstance(value, bool) or not isinstance(value, cls) or kind == "integer" and value % 1:
+            raise ConfigError(where, f"expected {what}, got {value!r}")
+    # A number must fit a double. abs() <= max compares an int exactly, where math.isfinite
+    # and float() raise OverflowError on a JSON integer beyond the float range (10**400).
+    if kind == "number" and not abs(value) <= sys.float_info.max:
+        raise ConfigError(where, f"must be finite, got {value}")
+    # == is JSON equality only where a type keyword has ruled out true == 1.
+    if "const" in schema and value != schema["const"]:
+        raise ConfigError(where, f"must be {schema['const']!r}, got {value!r}")
+    if "enum" in schema and value not in schema["enum"]:
+        raise ConfigError(where, f"must be one of {' | '.join(schema['enum'])}, got {value!r}")
+    # The bounds sit beside a number type, so value is a number here.
+    for key, op, fails in _BOUNDS:
+        if key in schema and fails(value, schema[key]):
+            raise ConfigError(where, f"must be {op} {schema[key]}, got {value}")
+    if isinstance(value, dict):
+        props = schema.get("properties", {})
+        for name in schema.get("required", ()):
+            if name not in value:
+                raise ConfigError(f"{label}.{name}".lstrip("."), "missing required field")
+        for name in value:
+            if schema.get("additionalProperties") is False and name not in props:
+                raise ConfigError(f"{label}.{name}".lstrip("."), "unknown field")
+        for name, sub in props.items():
+            if name in value:
+                _check(value[name], sub, f"{label}.{name}".lstrip("."))
+    if "if" in schema and _error(value, schema["if"], label) is None:
+        _check(value, schema["then"], label)
+    for sub in schema.get("allOf", ()):
+        _check(value, sub, label)
+    if "oneOf" in schema:  # no match: the first alternative's complaint
+        errors = [_error(value, sub, label) for sub in schema["oneOf"]]
+        if errors.count(None) != 1:
+            raise errors[0] if None not in errors else ConfigError(where, "fits two alternatives")
 
 
 @dataclass(frozen=True)
 class OzawaConfig:
     """Parameters of a repeated-measurement run.
 
-    T = None selects the automatic schedule T − τ = contraction horizon of
-    the meter preparation (t_M for a free mass, t_M′/ω for oscillators).
-    mode = "mean" replaces sampling with the deterministic marginal-mean
-    reading; with mode = "sample" readings are drawn from the meter marginal
-    using the seed.
+    T = None (or "auto") selects the automatic schedule T − τ = contraction
+    horizon of the meter preparation (t_M for a free mass, t_M′/ω for
+    oscillators). mode = "mean" replaces sampling with the deterministic
+    marginal-mean reading; with mode = "sample" readings are drawn from the
+    meter marginal using the seed. Construction checks to_dict() against the
+    JSON schema, which holds the per-field rules, then the cross-field rules.
     """
 
     k: float
@@ -249,59 +317,45 @@ class OzawaConfig:
     mode: str = "sample"
 
     def __post_init__(self) -> None:
-        if not isinstance(self.system, (FreeMass, Oscillator, DimensionlessOscillator)):
-            raise ConfigError("system", f"unknown system model {self.system!r}")
-        for name, value in self._numeric_fields():
-            _require_finite(name, value)
-        if not self.hbar > 0:
-            raise ConfigError("hbar", f"must be > 0, got {self.hbar}")
+        if type(self.system) not in _VARIANTS:  # the schema cannot tell a model from its dict
+            raise ConfigError("system", f"expected a system model, got {self.system!r}")
+        raw = self.to_dict()
+        _check(raw, _schema())
+        for name, kind in _NUMBERS.items():
+            object.__setattr__(self, name, kind(raw[name]))
+        object.__setattr__(self, "T", None if raw["T"] in (None, "auto") else float(raw["T"]))
         if self.system._hbar(self.hbar) != self.hbar:
             raise ConfigError("hbar", "must be 1 for a dimensionless oscillator system")
-        if self.seed < 0:
-            raise ConfigError("seed", f"must be >= 0, got {self.seed}")
-        if not self.k > 0:
-            raise ConfigError("k", f"must be > 0, got {self.k}")
-        if not self.tau > 0:
-            raise ConfigError("tau", f"must be > 0, got {self.tau}")
-        if not (isinstance(self.N, int) and self.N >= 1):
-            raise ConfigError("N", f"must be an integer >= 1, got {self.N!r}")
-        if self.Omega < 0:
-            raise ConfigError("Omega", f"must be >= 0, got {self.Omega}")
-        if self.delta_tau < 0:
-            raise ConfigError("delta_tau", f"must be >= 0, got {self.delta_tau}")
-        vyy0, vpp_y0 = self.meter_variances
-        if not vyy0 > 0 or not vpp_y0 > 0:
-            raise ConfigError(
-                "meter_variances", f"must be positive, got ({vyy0}, {vpp_y0})"
-            )
         try:
-            sqrt_uncertainty_excess(vyy0, vpp_y0, self.hbar)
+            meter = self.meter_state()
         except ValueError as exc:
             raise ConfigError("meter_variances", str(exc)) from exc
-        if self.T is not None and not self.T > self.tau:
-            raise ConfigError("T", f"must exceed tau = {self.tau}, got {self.T}")
-        try:  # the free flow over T − τ must be finite; an overflowing phase ωt raises
-            if self.T is not None and not np.isfinite(self.system._flow(self.T - self.tau)).all():
-                raise ValueError(f"flow over T - tau = {self.T - self.tau} is not finite")
-        except ValueError as exc:
-            raise ConfigError("T", str(exc)) from exc
-        if self.mode not in ("sample", "mean"):
-            raise ConfigError("mode", f"must be 'sample' or 'mean', got {self.mode!r}")
+        if self.T is not None:
+            wait = self.T - self.tau
+            if not wait > 0:
+                raise ConfigError("T", f"must exceed tau = {self.tau}, got {self.T}")
+            try:  # an overflowing phase ωt raises; the collapse leaves the meter's covariance
+                M = self.system._flow(wait)
+                with np.errstate(all="ignore"):
+                    if not np.isfinite(M @ meter.cov @ M.T).all():
+                        raise ValueError(f"meter covariance overflows over T - tau = {wait}")
+            except ValueError as exc:
+                raise ConfigError("T", str(exc)) from exc
         report = validate_state(self.initial_system, PhysConfig(self.hbar))
         if not report.ok:
             raise ConfigError("initial_system", "; ".join(report.violations))
 
-    def _numeric_fields(self) -> Iterator[tuple[str, float]]:
-        """(name, value) of every float field, nested ones as "parent.child"."""
-        for name in ("k", "tau", "Omega", "delta_tau", "hbar"):
-            yield name, getattr(self, name)
-        if self.T is not None:
-            yield "T", self.T
-        yield from zip(("meter_variances.vyy0", "meter_variances.vpp_y0"), self.meter_variances)
-        for name, value in asdict(self.system).items():
-            yield f"system.{name}", value
-        for name, value in self.initial_system.to_dict().items():
-            yield f"initial_system.{name}", value
+    def to_dict(self) -> dict:
+        """The JSON object from_dict reads. A pair or state field holding
+        something else is written as it is, for the schema check to name."""
+        meter, init, names = self.meter_variances, self.initial_system, ("vyy0", "vpp_y0")
+        return {
+            "version": 1,
+            **vars(self),
+            "system": {"variant": _VARIANTS[type(self.system)], **asdict(self.system)},
+            "meter_variances": dict(zip(names, meter)) if isinstance(meter, tuple) else meter,
+            "initial_system": init.to_dict() if isinstance(init, GaussianState) else init,
+        }
 
     def meter_state(self) -> GaussianState:
         """Contractive meter preparation: ⟨y⟩ = ⟨p_y⟩ = 0 and
@@ -337,79 +391,21 @@ class OzawaConfig:
 
     @classmethod
     def from_dict(cls, raw: dict) -> "OzawaConfig":
-        """Build and validate from the JSON config schema (see schemas/)."""
-        if not isinstance(raw, dict):
-            raise ConfigError("config", f"expected a JSON object, got {type(raw).__name__}")
-        known = {f.name for f in fields(cls)} | {"version"}
-        for name in raw:
-            if name not in known:
-                raise ConfigError(name, "unknown field")
-        version = raw.get("version", 1)
-        if version != 1 or isinstance(version, bool):
-            raise ConfigError("version", f"unsupported config version {version!r}")
-
-        def need(name, kind, node=raw, where="", default=None):
-            label = f"{where}{name}"
-            if name not in node:
-                if default is None:
-                    raise ConfigError(label, "missing required field")
-                return default
-            value = node[name]
-            if kind is dict:
-                if not isinstance(value, dict):
-                    raise ConfigError(label, f"expected an object, got {value!r}")
-                return value
-            # JSON has one number type: 3.0 is an integer, as the schema reads it.
-            if isinstance(value, bool) or not isinstance(value, (int, float)) or (
-                kind is int and isinstance(value, float) and not value.is_integer()
-            ):
-                what = "an integer" if kind is int else "a number"
-                raise ConfigError(label, f"expected {what}, got {value!r}")
-            if kind is float:
-                _require_finite(label, value)
-            return kind(value)
-
-        sys_node = need("system", dict)
-        variant = sys_node.get("variant")
-        models = {
-            "free_mass": (FreeMass, ("m",)),
-            "oscillator": (Oscillator, ("m", "omega")),
-            "dimensionless_oscillator": (DimensionlessOscillator, ("omega",)),
-        }
-        if variant not in tuple(models):  # == only: a JSON list variant is unhashable
-            raise ConfigError(
-                "system.variant", f"must be one of {' | '.join(models)}, got {variant!r}"
-            )
-        model, names = models[variant]
-        params = {name: need(name, float, sys_node, "system.") for name in names}
-        try:
-            system: SystemModel = model(**params)
+        """Build from a JSON config. The schema ozawa_config.schema.json in this
+        package holds the per-field rules; the constructor adds the cross-field ones."""
+        _check(raw, _schema())
+        system, meter, init = raw["system"], raw["meter_variances"], raw["initial_system"]
+        model = _MODELS[system["variant"]]
+        try:  # the model's own rule: a finite, nonzero (mω)²
+            model = model(**{f.name: float(system[f.name]) for f in fields(model)})
         except ValueError as exc:
             raise ConfigError("system", str(exc)) from exc
-
-        meter_node = need("meter_variances", dict)
-        meter = tuple(need(n, float, meter_node, "meter_variances.") for n in ("vyy0", "vpp_y0"))
-        init = need("initial_system", dict)
-        initial = GaussianState(
-            **{f.name: need(f.name, float, init, "initial_system.") for f in fields(GaussianState)}
-        )
-
-        t_raw = raw.get("T", "auto")
-        T = None if t_raw == "auto" or t_raw is None else need("T", float)
-
         return cls(
-            k=need("k", float),
-            tau=need("tau", float),
-            N=need("N", int),
-            Omega=need("Omega", float),
-            delta_tau=need("delta_tau", float),
-            system=system,
-            meter_variances=meter,
-            initial_system=initial,
-            seed=need("seed", int),
-            hbar=need("hbar", float, default=1.0),
-            T=T,
-            mode=raw.get("mode", "sample"),
+            # Absent optional fields keep the defaults: hbar 1.0, T "auto" (None), mode "sample".
+            **{name: raw[name] for name in (*_NUMBERS, "T", "mode") if name in raw},
+            system=model,
+            meter_variances=(float(meter["vyy0"]), float(meter["vpp_y0"])),
+            initial_system=GaussianState(*(float(init[f.name]) for f in fields(GaussianState))),
         )
 
 

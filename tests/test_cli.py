@@ -288,6 +288,9 @@ class TestOracle:
             (["--domain-sigmas=0"], "domain_sigmas must be > 0 and finite, got 0.0"),
             (["--domain-sigmas=-1"], "domain_sigmas must be > 0 and finite, got -1.0"),
             (["--domain-sigmas=nan"], "domain_sigmas must be > 0 and finite, got nan"),
+            # domain_sigmas·σ vanishes next to ⟨X⟩ = 1: the domain has zero width.
+            (["--mean-x=1", "--domain-sigmas=5e-324"],
+             "domain_sigmas = 5e-324 gives no domain: [1.0, 1.0]"),
             (["--mean-x=inf"], "mean_x must be finite, got inf"),
             # The t is named before any flow map runs: no RuntimeWarning first.
             (["--times=inf"], "t must be >= 0 and finite, got inf"),
@@ -475,7 +478,9 @@ class TestOzawa:
     @pytest.mark.parametrize(
         "system",
         [{"variant": "free_mass", "m": 1e-300},
-         {"variant": "dimensionless_oscillator", "omega": 1e300}],
+         {"variant": "dimensionless_oscillator", "omega": 1e300},
+         # The flow is finite, but the meter covariance evolved with it overflows.
+         {"variant": "free_mass", "m": 1e-150}],
     )
     def test_non_finite_flow_over_the_period_exits_2(self, capsys, tmp_path, system):
         raw = json.loads(open(REFERENCE_CONFIG).read())
@@ -499,7 +504,7 @@ class TestOzawa:
     @pytest.mark.parametrize(
         "mutate, err",
         [
-            (lambda raw: raw["system"].update(m=0), "system: m must be > 0, got 0.0"),
+            (lambda raw: raw["system"].update(m=0), "system.m: must be > 0, got 0"),
             (lambda raw: raw.update(Mode="sample"), "Mode: unknown field"),
             (lambda raw: raw.update(hbar=None), "hbar: expected a number, got None"),
             (lambda raw: raw["initial_system"].update(vxx="1.0"),

@@ -6,21 +6,28 @@ starting from a valid one and breaking up to three fields. Schema and
 validator must agree on accept or reject, except where the config breaks
 one of the cross-field rules the schema cannot express; there only the
 validator rejects, and it names the field.
+
+The library entry point keeps the same contract: OzawaConfig(**fields) with
+any one field replaced builds a config whose to_dict() the schema accepts,
+or raises ConfigError. A guard holds the schema to the keywords the runtime
+check reads, so that no rule is enforced by jsonschema alone.
 """
 
 import json
 import math
+from dataclasses import fields, replace
 from pathlib import Path
 
 import jsonschema
-from hypothesis import example, given, settings
+import numpy as np
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from quvar import OzawaConfig
 from quvar.ozawa import ConfigError
 
 SCHEMA = json.loads(
-    (Path(__file__).resolve().parent.parent / "schemas" / "ozawa_config.schema.json").read_text()
+    (Path(__file__).resolve().parents[1] / "src" / "quvar" / "ozawa_config.schema.json").read_text()
 )
 VALIDATOR = jsonschema.Draft7Validator(SCHEMA)
 MISSING = object()
@@ -122,12 +129,24 @@ def cross_field_breaks(raw) -> set[str]:
         broken.add("initial_system")
     if isinstance(raw.get("T"), (int, float)):
         system, wait = raw["system"], float(raw["T"]) - float(raw["tau"])
-        # The free flow over T − τ must be finite: its shear (T − τ)/m or phase ω(T − τ).
-        if system["variant"] == "free_mass":
-            entry = wait / float(system["m"])
-        else:
-            entry = wait * float(system["omega"])
-        if not (raw["T"] > raw["tau"] and abs(entry) < math.inf):
+        # The meter covariance must stay finite over T − τ under the free flow:
+        # the shear (T − τ)/m, or the rotation by ω(T − τ) at scale mω (1 if
+        # dimensionless), whose phase must itself be finite.
+        vyy0, vpp_y0 = float(meter["vyy0"]), float(meter["vpp_y0"])
+        vxp = -0.5 * math.sqrt(max(4.0 * vyy0 * vpp_y0 - float(hbar) * float(hbar), 0.0))
+        with np.errstate(all="ignore"):
+            if system["variant"] == "free_mass":
+                flow = np.array([[1.0, wait / float(system["m"])], [0.0, 1.0]])
+            else:
+                omega = float(system["omega"])
+                oscillator = system["variant"] == "oscillator"
+                mw = np.float64(system["m"]) * omega if oscillator else np.float64(1.0)
+                theta = wait * omega
+                finite = math.isfinite(theta)
+                c, s = (math.cos(theta), math.sin(theta)) if finite else (math.nan, math.nan)
+                flow = np.array([[c, s / mw], [-mw * s, c]])
+            cov = flow @ np.array([[vyy0, vxp], [vxp, vpp_y0]]) @ flow.T
+        if not (raw["T"] > raw["tau"] and np.isfinite(cov).all()):
             broken.add("T")
     if raw["system"]["variant"] == "dimensionless_oscillator" and hbar != 1.0:
         broken.add("hbar")
@@ -189,3 +208,75 @@ def test_schema_and_validator_agree(raw):
 def test_the_reference_config_is_valid_for_both():
     assert VALIDATOR.is_valid(REFERENCE)
     OzawaConfig.from_dict(REFERENCE)
+
+
+def valid_config(raw):
+    # valid_configs() may drop "hbar" after sizing the variances for the drawn ħ.
+    try:
+        return OzawaConfig.from_dict(raw)
+    except ConfigError:
+        assume(False)
+
+
+@example(REFERENCE, "k", "x")
+@example(REFERENCE, "seed", "1")
+@example(REFERENCE, "hbar", None)
+@example(REFERENCE, "hbar", 2**600)  # fits a double, but ħ² as an int product does not
+@example(REFERENCE, "T", "auto")
+@example(REFERENCE, "N", 3.0)
+@example(REFERENCE, "meter_variances", None)
+@example(REFERENCE, "initial_system", None)
+@example(REFERENCE, "system", {"variant": "free_mass", "m": 1.0})  # valid JSON, no model
+@settings(max_examples=1000, deadline=None)
+@given(
+    valid_configs(),
+    st.sampled_from([f.name for f in fields(OzawaConfig)]),
+    st.one_of(bad_values, st.sampled_from([None, "auto", []])),
+)
+def test_the_constructor_builds_or_names_a_field(raw, name, value):
+    config = valid_config(raw)
+    try:
+        built = replace(config, **{name: value})
+    except ConfigError:
+        return
+    assert VALIDATOR.is_valid(built.to_dict()), (name, value, built)
+
+
+@settings(max_examples=200, deadline=None)
+@given(valid_configs())
+def test_to_dict_is_what_from_dict_reads(raw):
+    config = valid_config(raw)
+    assert OzawaConfig.from_dict(config.to_dict()) == config
+    assert VALIDATOR.is_valid(config.to_dict())
+
+
+# The keywords quvar.ozawa._check reads, and the annotations it may pass over.
+CHECKED = {
+    "type", "required", "properties", "additionalProperties", "const", "enum",
+    "minimum", "exclusiveMinimum", "maximum", "oneOf", "allOf", "if", "then",
+}
+ANNOTATIONS = {"$schema", "$id", "title", "description", "default"}
+
+
+def subschemas(schema):
+    yield schema
+    for sub in schema.get("properties", {}).values():
+        yield from subschemas(sub)
+    for sub in [*schema.get("oneOf", ()), *schema.get("allOf", ())]:
+        yield from subschemas(sub)
+    for key in ("if", "then"):
+        if key in schema:
+            yield from subschemas(schema[key])
+
+
+def test_the_runtime_check_reads_every_schema_keyword():
+    # A keyword outside CHECKED (say "pattern") would be enforced by jsonschema
+    # and silently ignored by `quvar ozawa`.
+    for schema in subschemas(SCHEMA):
+        assert set(schema) <= CHECKED | ANNOTATIONS, schema
+        assert schema.get("type", "object") in ("object", "number", "integer", "null"), schema
+        assert schema.get("additionalProperties", False) is False, schema
+        # _check compares const and enum with ==, where Python has True == 1:
+        # a pinned value that is not a string needs a type keyword beside it.
+        pinned = [schema["const"]] if "const" in schema else schema.get("enum", [])
+        assert all(isinstance(v, str) for v in pinned) or "type" in schema, schema

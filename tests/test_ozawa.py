@@ -343,6 +343,8 @@ class TestConfig:
             (dict(system=FreeMass(m=1e-300), T=1e10), "T"),
             (dict(system=DimensionlessOscillator(omega=1e300), T=1e10), "T"),
             (dict(system=Oscillator(m=1e-300, omega=1e300), T=1e10), "T"),
+            # A finite flow that makes the meter covariance M·V·Mᵀ overflow.
+            (dict(system=FreeMass(m=1e-150), T=1e10), "T"),
         ],
     )
     def test_violations_name_the_field(self, overrides, field):
