@@ -29,13 +29,13 @@ variance from ever exceeding the meter's.
 
 from __future__ import annotations
 
+import contextlib
 import functools
-import json
 import math
+import numbers
 import operator
 import sys
 from dataclasses import asdict, dataclass, fields
-from importlib import resources
 from typing import Iterator, Optional
 
 import numpy as np
@@ -223,18 +223,34 @@ class RegimeError(RuntimeError):
 
 _MODELS = {"free_mass": FreeMass, "oscillator": Oscillator,
            "dimensionless_oscillator": DimensionlessOscillator}
-_VARIANTS = {model: variant for variant, model in _MODELS.items()}
 _TYPES = {"object": (dict, "an object"), "null": (type(None), "null"),
-          "number": ((int, float), "a number"), "integer": ((int, float), "an integer")}
-# The top-level numbers, each as the run reads it (JSON's 3.0 is an integer).
-_NUMBERS = dict(k=float, tau=float, N=int, Omega=float, delta_tau=float, seed=int, hbar=float)
+          "number": (numbers.Real, "a number"), "integer": (numbers.Real, "an integer")}
+# Each field as the run holds it, from its JSON value (3.0 is an integer; "auto" is None).
+_FIELDS = dict(k=float, tau=float, N=int, Omega=float, delta_tau=float, seed=int, hbar=float,
+               T=lambda t: None if t in (None, "auto") else float(t),
+               meter_variances=lambda m: (float(m["vyy0"]), float(m["vpp_y0"])),
+               initial_system=lambda s: GaussianState(
+                   *(float(s[f.name]) for f in fields(GaussianState))))
 _BOUNDS = (("minimum", ">=", operator.lt), ("exclusiveMinimum", ">", operator.le),
            ("maximum", "<=", operator.gt))
+
+
+def _model(system) -> SystemModel:
+    """A system model as given, or the one its schema-checked JSON object names."""
+    if not isinstance(system, dict):
+        return system
+    model = _MODELS[system["variant"]]
+    try:  # the model's own rule: a finite, nonzero (mω)²
+        return model(**{f.name: float(system[f.name]) for f in fields(model)})
+    except ValueError as exc:
+        raise ConfigError("system", str(exc)) from exc
 
 
 @functools.cache
 def _schema() -> dict:
     """The config schema shipped beside this module, read on first use."""
+    import json
+    from importlib import resources
     return json.loads((resources.files(__package__) / "ozawa_config.schema.json").read_text())
 
 
@@ -257,6 +273,8 @@ def _check(value, schema: dict, label: str = "") -> None:
         # JSON has one number type: 3.0 is an integer, as the schema reads it.
         if isinstance(value, bool) or not isinstance(value, cls) or kind == "integer" and value % 1:
             raise ConfigError(where, f"expected {what}, got {value!r}")
+        if kind in ("number", "integer") and not isinstance(value, numbers.Integral):
+            value = float(value)  # exact; a numpy float32 would meet the bounds below as inf
     # A number must fit a double. abs() <= max compares an int exactly, where math.isfinite
     # and float() raise OverflowError on a JSON integer beyond the float range (10**400).
     if kind == "number" and not abs(value) <= sys.float_info.max:
@@ -299,8 +317,9 @@ class OzawaConfig:
     horizon of the meter preparation (t_M for a free mass, t_M′/ω for
     oscillators). mode = "mean" replaces sampling with the deterministic
     marginal-mean reading; with mode = "sample" readings are drawn from the
-    meter marginal using the seed. Construction checks to_dict() against the
-    JSON schema, which holds the per-field rules, then the cross-field rules.
+    meter marginal using the seed. system, meter_variances (or any pair) and
+    initial_system may be given as their JSON objects. Construction checks
+    to_dict() against the schema (per-field rules), then the cross-field rules.
     """
 
     k: float
@@ -317,13 +336,11 @@ class OzawaConfig:
     mode: str = "sample"
 
     def __post_init__(self) -> None:
-        if type(self.system) not in _VARIANTS:  # the schema cannot tell a model from its dict
-            raise ConfigError("system", f"expected a system model, got {self.system!r}")
         raw = self.to_dict()
         _check(raw, _schema())
-        for name, kind in _NUMBERS.items():
-            object.__setattr__(self, name, kind(raw[name]))
-        object.__setattr__(self, "T", None if raw["T"] in (None, "auto") else float(raw["T"]))
+        for name, held in _FIELDS.items():
+            object.__setattr__(self, name, held(raw[name]))
+        object.__setattr__(self, "system", _model(self.system))
         if self.system._hbar(self.hbar) != self.hbar:
             raise ConfigError("hbar", "must be 1 for a dimensionless oscillator system")
         try:
@@ -346,14 +363,17 @@ class OzawaConfig:
             raise ConfigError("initial_system", "; ".join(report.violations))
 
     def to_dict(self) -> dict:
-        """The JSON object from_dict reads. A pair or state field holding
-        something else is written as it is, for the schema check to name."""
+        """The JSON object from_dict reads. A field of any other kind is written
+        as it is, for the schema check to name."""
         meter, init, names = self.meter_variances, self.initial_system, ("vyy0", "vpp_y0")
+        variant = next((v for v, cls in _MODELS.items() if cls in type(self.system).__mro__), None)
+        with contextlib.suppress(TypeError, ValueError):  # any (vyy0, vpp_y0) pair
+            meter = meter if isinstance(meter, dict) else dict(zip(names, meter, strict=True))
         return {
             "version": 1,
             **vars(self),
-            "system": {"variant": _VARIANTS[type(self.system)], **asdict(self.system)},
-            "meter_variances": dict(zip(names, meter)) if isinstance(meter, tuple) else meter,
+            "system": {"variant": variant, **asdict(self.system)} if variant else self.system,
+            "meter_variances": meter,
             "initial_system": init.to_dict() if isinstance(init, GaussianState) else init,
         }
 
@@ -394,19 +414,8 @@ class OzawaConfig:
         """Build from a JSON config. The schema ozawa_config.schema.json in this
         package holds the per-field rules; the constructor adds the cross-field ones."""
         _check(raw, _schema())
-        system, meter, init = raw["system"], raw["meter_variances"], raw["initial_system"]
-        model = _MODELS[system["variant"]]
-        try:  # the model's own rule: a finite, nonzero (mω)²
-            model = model(**{f.name: float(system[f.name]) for f in fields(model)})
-        except ValueError as exc:
-            raise ConfigError("system", str(exc)) from exc
-        return cls(
-            # Absent optional fields keep the defaults: hbar 1.0, T "auto" (None), mode "sample".
-            **{name: raw[name] for name in (*_NUMBERS, "T", "mode") if name in raw},
-            system=model,
-            meter_variances=(float(meter["vyy0"]), float(meter["vpp_y0"])),
-            initial_system=GaussianState(*(float(init[f.name]) for f in fields(GaussianState))),
-        )
+        # Absent optional fields keep the defaults: hbar 1.0, T "auto" (None), mode "sample".
+        return cls(**{name: raw[name] for name in (*_FIELDS, "system", "mode") if name in raw})
 
 
 def check_regime(config: OzawaConfig) -> list[str]:

@@ -20,10 +20,11 @@ from pathlib import Path
 
 import jsonschema
 import numpy as np
+import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from quvar import OzawaConfig
+from quvar import FreeMass, OzawaConfig
 from quvar.ozawa import ConfigError
 
 SCHEMA = json.loads(
@@ -240,6 +241,36 @@ def test_the_constructor_builds_or_names_a_field(raw, name, value):
     except ConfigError:
         return
     assert VALIDATOR.is_valid(built.to_dict()), (name, value, built)
+
+
+class HeavyMass(FreeMass):
+    """A model subclass: held as given, written as its variant."""
+
+
+@pytest.mark.parametrize(
+    "name, value",
+    [
+        ("seed", np.int64(7)),
+        ("N", np.int64(3)),
+        ("k", np.float32(600.0)),
+        ("meter_variances", [1.0, 1.0]),
+        ("meter_variances", np.array([1.0, 1.0])),
+        ("initial_system", REFERENCE["initial_system"]),
+        ("system", {"variant": "free_mass", "m": 1.0}),
+        ("system", HeavyMass(1.0)),
+    ],
+)
+def test_the_constructor_takes_numpy_scalars_pairs_and_json_objects(name, value):
+    config = replace(OzawaConfig.from_dict(REFERENCE), **{name: value})
+    assert VALIDATOR.is_valid(config.to_dict())
+    assert OzawaConfig.from_dict(config.to_dict()).to_dict() == config.to_dict()
+    if isinstance(value, HeavyMass):
+        assert config.system is value
+
+
+def test_a_numpy_infinity_is_not_finite():
+    with pytest.raises(ConfigError, match="k: must be finite"):
+        replace(OzawaConfig.from_dict(REFERENCE), k=np.float32("inf"))
 
 
 @settings(max_examples=200, deadline=None)
