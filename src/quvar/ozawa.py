@@ -223,27 +223,27 @@ class RegimeError(RuntimeError):
 
 _MODELS = {"free_mass": FreeMass, "oscillator": Oscillator,
            "dimensionless_oscillator": DimensionlessOscillator}
-_TYPES = {"object": (dict, "an object"), "null": (type(None), "null"),
-          "number": (numbers.Real, "a number"), "integer": (numbers.Real, "an integer")}
-# Each field as the run holds it, from its JSON value (3.0 is an integer; "auto" is None).
-_FIELDS = dict(k=float, tau=float, N=int, Omega=float, delta_tau=float, seed=int, hbar=float,
-               T=lambda t: None if t in (None, "auto") else float(t),
-               meter_variances=lambda m: (float(m["vyy0"]), float(m["vpp_y0"])),
-               initial_system=lambda s: GaussianState(
-                   *(float(s[f.name]) for f in fields(GaussianState))))
-_BOUNDS = (("minimum", ">=", operator.lt), ("exclusiveMinimum", ">", operator.le),
-           ("maximum", "<=", operator.gt))
 
 
-def _model(system) -> SystemModel:
-    """A system model as given, or the one its schema-checked JSON object names."""
-    if not isinstance(system, dict):
-        return system
+def _model(system: dict) -> SystemModel:
+    """The model a schema-checked system object names."""
     model = _MODELS[system["variant"]]
     try:  # the model's own rule: a finite, nonzero (mω)²
         return model(**{f.name: float(system[f.name]) for f in fields(model)})
     except ValueError as exc:
         raise ConfigError("system", str(exc)) from exc
+
+
+_TYPES = {"object": (dict, "an object"), "null": (type(None), "null"),
+          "number": (numbers.Real, "a number"), "integer": (numbers.Real, "an integer")}
+# Each field as the run holds it, from its JSON value (3.0 is an integer; "auto" is None).
+_FIELDS = dict(k=float, tau=float, N=int, Omega=float, delta_tau=float, seed=int, hbar=float,
+               T=lambda t: None if t in (None, "auto") else float(t), system=_model,
+               meter_variances=lambda m: (float(m["vyy0"]), float(m["vpp_y0"])),
+               initial_system=lambda s: GaussianState(
+                   *(float(s[f.name]) for f in fields(GaussianState))))
+_BOUNDS = (("minimum", ">=", operator.lt), ("exclusiveMinimum", ">", operator.le),
+           ("maximum", "<=", operator.gt))
 
 
 @functools.cache
@@ -340,7 +340,6 @@ class OzawaConfig:
         _check(raw, _schema())
         for name, held in _FIELDS.items():
             object.__setattr__(self, name, held(raw[name]))
-        object.__setattr__(self, "system", _model(self.system))
         if self.system._hbar(self.hbar) != self.hbar:
             raise ConfigError("hbar", "must be 1 for a dimensionless oscillator system")
         try:
@@ -415,7 +414,7 @@ class OzawaConfig:
         package holds the per-field rules; the constructor adds the cross-field ones."""
         _check(raw, _schema())
         # Absent optional fields keep the defaults: hbar 1.0, T "auto" (None), mode "sample".
-        return cls(**{name: raw[name] for name in (*_FIELDS, "system", "mode") if name in raw})
+        return cls(**{name: raw[name] for name in (*_FIELDS, "mode") if name in raw})
 
 
 def check_regime(config: OzawaConfig) -> list[str]:

@@ -244,7 +244,7 @@ def test_the_constructor_builds_or_names_a_field(raw, name, value):
 
 
 class HeavyMass(FreeMass):
-    """A model subclass: held as given, written as its variant."""
+    """A model subclass: held as the model of its variant."""
 
 
 @pytest.mark.parametrize(
@@ -263,9 +263,8 @@ class HeavyMass(FreeMass):
 def test_the_constructor_takes_numpy_scalars_pairs_and_json_objects(name, value):
     config = replace(OzawaConfig.from_dict(REFERENCE), **{name: value})
     assert VALIDATOR.is_valid(config.to_dict())
-    assert OzawaConfig.from_dict(config.to_dict()).to_dict() == config.to_dict()
-    if isinstance(value, HeavyMass):
-        assert config.system is value
+    assert OzawaConfig.from_dict(config.to_dict()) == config
+    assert type(config.system) is FreeMass
 
 
 def test_a_numpy_infinity_is_not_finite():
