@@ -259,8 +259,7 @@ def validate_state(state: GaussianState, config: PhysConfig = PhysConfig()) -> V
 
 def _require_valid(state: GaussianState, model: SystemModel, config: PhysConfig) -> None:
     hbar = model._hbar(config.hbar)
-    # Reuse config when the model keeps its ħ: evolve() runs once per protocol
-    # round, and a PhysConfig allocated on every call raised the run's peak RSS.
+    # Reuse config when the model keeps its ħ rather than allocate a PhysConfig per call.
     report = validate_state(state, config if hbar == config.hbar else PhysConfig(hbar))
     if not report.ok:
         raise StateValidationError("; ".join(report.violations))
@@ -287,13 +286,18 @@ def evolve(
     is exact (no discretization) and preserves the Schrödinger-Robertson
     invariant vxx·vpp − vxp², since det M = 1.
 
-    Raises StateValidationError if the input state is invalid.
+    Raises StateValidationError if the input state is invalid, and a
+    ValueError naming t if t or the evolved moments are not finite.
     """
     _require_valid(state, model, config)
+    if not math.isfinite(t):
+        raise ValueError(f"t must be finite, got {t}")
     M = model._flow(t)
-    mean = M @ state.mean
-    cov = M @ state.cov @ M.T
-    return GaussianState.from_moments(mean, cov)
+    with np.errstate(all="ignore"):  # an overflow is named below, not warned about
+        out = GaussianState.from_moments(M @ state.mean, M @ state.cov @ M.T)
+    if not all(map(math.isfinite, vars(out).values())):
+        raise ValueError(f"evolved moments are not finite at t = {t}: {out}")
+    return out
 
 
 def variance_x_closed_form(

@@ -34,6 +34,7 @@ import functools
 import math
 import numbers
 import operator
+import struct
 import sys
 from dataclasses import asdict, dataclass, fields
 from typing import Iterator, Optional
@@ -144,33 +145,19 @@ def couple(
     """
     for name, state in (("system", system), ("meter", meter)):
         _require_valid(name, state, config)
-    return _couple(system, meter, _meter_block(meter), interaction_map(k, tau))
+    M = interaction_map(k, tau)
+    cov = np.zeros((4, 4))
+    cov[:2, :2] = system.cov
+    cov[2:, 2:] = meter.cov
+    cov = M @ cov @ M.T
+    mean = M @ np.array([system.mean_x, system.mean_p, meter.mean_x, meter.mean_p])
+    return TwoModeGaussian(mean=mean, cov=0.5 * (cov + cov.T))
 
 
 def _require_valid(name: str, state: GaussianState, config: PhysConfig) -> None:
     report = validate_state(state, config)
     if not report.ok:
         raise ValueError(f"invalid {name} state: " + "; ".join(report.violations))
-
-
-def _meter_block(meter: GaussianState) -> np.ndarray:
-    """Joint 4×4 covariance with only the meter block filled in."""
-    cov = np.zeros((4, 4))
-    cov[2:, 2:] = meter.cov
-    return cov
-
-
-def _couple(
-    system: GaussianState, meter: GaussianState, meter_block: np.ndarray, M: np.ndarray
-) -> TwoModeGaussian:
-    """couple() without validation, for a precomputed meter block and map."""
-    mean = np.array([system.mean_x, system.mean_p, meter.mean_x, meter.mean_p])
-    cov = meter_block.copy()
-    cov[:2, :2] = system.cov
-    mean = M @ mean
-    cov = M @ cov @ M.T
-    cov = 0.5 * (cov + cov.T)
-    return TwoModeGaussian(mean=mean, cov=cov)
 
 
 def _marginal(joint: TwoModeGaussian, i: int) -> GaussianState:
@@ -346,6 +333,10 @@ class OzawaConfig:
             meter = self.meter_state()
         except ValueError as exc:
             raise ConfigError("meter_variances", str(exc)) from exc
+        if not math.isfinite(meter.vxp):  # 4·vyy0·vpp_y0 (or ħ²) overflowed, for any T
+            raise ConfigError(
+                "meter_variances", f"sqrt(4*vyy0*vpp_y0 - hbar^2) overflows: vxp = {meter.vxp}"
+            )
         if self.T is not None:
             wait = self.T - self.tau
             if not wait > 0:
@@ -487,6 +478,20 @@ class ProtocolTrace:
         return "".join(self.csv_lines())
 
 
+def _covariance_step(
+    cov: tuple, meter: GaussianState, wait: float, config: OzawaConfig, pconf: PhysConfig
+) -> tuple:
+    """The reading-independent half of a round, for the pre-measurement
+    covariance (vxx, vpp, vxp): couple → read_meter → evolve on a zero-mean
+    state. No covariance operation reads a mean, so these are the round's own
+    covariances bit for bit. Returns the joint 4×4 covariance as nested lists,
+    the posterior (vxx, vpp, vxp) and the next pre-measurement one."""
+    joint = couple(GaussianState(0.0, 0.0, *cov), meter, config.k, config.tau, pconf)
+    post = read_meter(joint, 0.0)
+    nxt = evolve(post, config.system, wait, pconf)
+    return joint.cov.tolist(), (post.vxx, post.vpp, post.vxp), (nxt.vxx, nxt.vpp, nxt.vxp)
+
+
 def run_protocol(config: OzawaConfig, strict: bool = False) -> ProtocolTrace:
     """Execute N couple → read → collapse → free-evolution rounds.
 
@@ -501,8 +506,14 @@ def run_protocol(config: OzawaConfig, strict: bool = False) -> ProtocolTrace:
     The meter-variance transfer identity is asserted at every step whenever
     the timing dose is exact.
 
-    The coupling map and the meter preparation are built and validated once
-    per run; each round validates its pre-measurement system state. The
+    The coupling map, the free flow over T − τ and the meter preparation are
+    built and validated once per run. The covariance recursion does not
+    depend on the readings (a Kalman/Riccati map), so each round splits in
+    two: the covariance step runs once per distinct pre-measurement
+    covariance, keyed by its exact bits (−0.0 is not 0.0), and only the means
+    are computed every round. At the transfer dose the recursion settles at
+    once, so a run visits a handful of covariances. Each round still
+    validates its pre-measurement and posterior states and its reading. The
     result is bit-identical to chaining couple → meter_marginal → read_meter
     → evolve by hand with rng.normal draws. ProtocolTrace.csv_lines() streams
     the trace as CSV row by row, which is how `quvar ozawa` writes it.
@@ -514,28 +525,39 @@ def run_protocol(config: OzawaConfig, strict: bool = False) -> ProtocolTrace:
     period = config.period()
     wait = period - config.tau
     timing_exact = abs(config.k * config.tau - TRANSFER_KTAU) <= 1e-9 * TRANSFER_KTAU
-    # Loop invariants: the coupling map, the validated meter preparation in
-    # its covariance block, and (sample mode) the whole normal stream. One
-    # batched standard_normal draw gives the same doubles as N successive
+    # Loop invariants: the coupling map and the free flow for the means, the
+    # validated meter preparation, and (sample mode) the whole normal stream.
+    # One batched standard_normal draw gives the same doubles as N successive
     # rng.normal(mean, sd) calls, since those compute mean + sd·z as well.
     M = interaction_map(config.k, config.tau)
+    F = config.system._flow(wait)
     meter = config.meter_state()
     _require_valid("meter", meter, pconf)
-    meter_block = _meter_block(meter)
     rng = np.random.default_rng(config.seed)  # validates the seed in mean mode too
     if config.mode == "sample":
         normals = rng.standard_normal(config.N).tolist()
+    steps = {}  # exact bits of a pre-measurement covariance -> its covariance step
     system = config.initial_system
     records = []
     for i in range(1, config.N + 1):
         _require_valid("system", system, pconf)
-        joint = _couple(system, meter, meter_block, M)
-        marginal = meter_marginal(joint)
-        if config.mode == "mean":
-            reading = marginal.mean_x
-        else:
-            reading = marginal.mean_x + math.sqrt(marginal.vxx) * normals[i - 1]
-        post = read_meter(joint, reading)
+        cov = system.vxx, system.vpp, system.vxp
+        key = struct.pack("3d", *cov)  # unlike ==, the bits tell -0.0 from 0.0
+        if key not in steps:
+            steps[key] = _covariance_step(cov, meter, wait, config, pconf)
+        c, post_cov, next_cov = steps[key]
+        # The mean step: couple's, read_meter's and evolve's mean arithmetic.
+        mean = (M @ np.array([system.mean_x, system.mean_p, meter.mean_x, meter.mean_p])).tolist()
+        marginal = GaussianState(mean[2], mean[3], c[2][2], c[3][3], c[2][3])
+        reading = marginal.mean_x
+        if config.mode == "sample":
+            reading += math.sqrt(marginal.vxx) * normals[i - 1]
+        if not math.isfinite(reading):
+            raise ValueError(f"y_reading must be finite, got {reading}")
+        shift = reading - marginal.mean_x
+        post = GaussianState(
+            mean[0] + c[0][2] * shift / c[2][2], mean[1] + c[1][2] * shift / c[2][2], *post_cov
+        )
         if timing_exact:
             transfer_err = abs(marginal.vxx - system.vxx)
             if transfer_err > 1e-10 * max(1.0, abs(system.vxx)):
@@ -543,15 +565,8 @@ def run_protocol(config: OzawaConfig, strict: bool = False) -> ProtocolTrace:
                     f"variance transfer violated at step {i}: "
                     f"|vyy_meter - vxx_pre| = {transfer_err:.3g}"
                 )
-        records.append(
-            StepRecord(
-                index=i,
-                time=(i - 1) * period,
-                y_reading=reading,
-                pre=system,
-                post=post,
-                meter=marginal,
-            )
-        )
-        system = evolve(post, config.system, wait, pconf)
+        records.append(StepRecord(i, (i - 1) * period, reading, system, post, marginal))
+        _require_valid("posterior", post, pconf)
+        mean = (F @ np.array([post.mean_x, post.mean_p])).tolist()
+        system = GaussianState(mean[0], mean[1], *next_cov)
     return ProtocolTrace(steps=tuple(records))

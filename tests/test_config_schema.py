@@ -25,6 +25,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from quvar import FreeMass, OzawaConfig
+from quvar.cli import main
 from quvar.ozawa import ConfigError
 
 SCHEMA = json.loads(
@@ -123,6 +124,10 @@ def cross_field_breaks(raw) -> set[str]:
     broken = set()
     meter, init = raw["meter_variances"], raw["initial_system"]
     if meter["vyy0"] * meter["vpp_y0"] < quarter:
+        broken.add("meter_variances")
+    # The meter's vxp = −√(4·vyy0·vpp_y0 − ħ²)/2 must be finite, whatever T is.
+    excess = 4.0 * float(meter["vyy0"]) * float(meter["vpp_y0"]) - float(hbar) * float(hbar)
+    if not math.isfinite(excess):
         broken.add("meter_variances")
     vxx, vpp, vxp = (float(init[k]) for k in ("vxx", "vpp", "vxp"))
     # Products overflow to inf where ** raises; an overflowing margin is broken too.
@@ -310,3 +315,20 @@ def test_the_runtime_check_reads_every_schema_keyword():
         # a pinned value that is not a string needs a type keyword beside it.
         pinned = [schema["const"]] if "const" in schema else schema.get("enum", [])
         assert all(isinstance(v, str) for v in pinned) or "type" in schema, schema
+
+
+@pytest.mark.parametrize("T", ["auto", 1.0])
+@pytest.mark.parametrize("vyy0, vpp_y0", [(1e200, 1e200), (1.7e308, 1.0)])
+def test_an_overflowing_meter_product_names_meter_variances(tmp_path, capsys, vyy0, vpp_y0, T):
+    # 4·vyy0·vpp_y0 overflows, so the meter's vxp is -inf. Under the auto
+    # schedule this config built, and `quvar ozawa` exited 1 with "protocol
+    # failed: invalid meter state: vxp must be finite, got -inf".
+    raw = dict(changed("meter_variances", {"vyy0": vyy0, "vpp_y0": vpp_y0}), T=T)
+    assert VALIDATOR.is_valid(raw)
+    with pytest.raises(ConfigError) as info:
+        OzawaConfig.from_dict(raw)
+    assert info.value.field == "meter_variances"
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(raw))
+    assert main(["ozawa", f"--config={path}"]) == 2
+    assert capsys.readouterr().err.startswith("invalid config: meter_variances: ")

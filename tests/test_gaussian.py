@@ -174,6 +174,20 @@ class TestEvolve:
         out = evolve(s, DimensionlessOscillator(omega=1.0), 0.3, PhysConfig(hbar=3.0))
         assert out.vxx > 0
 
+    @pytest.mark.parametrize(
+        "t, message",
+        [
+            (math.inf, "t must be finite, got inf"),
+            (math.nan, "t must be finite, got nan"),
+            # A finite t whose shear t/m squares past the double range.
+            (1e308, "evolved moments are not finite at t = 1e[+]308"),
+        ],
+    )
+    def test_nonfinite_time_or_moments_name_t(self, t, message):
+        # These returned vxx = nan or inf with RuntimeWarnings (errors here).
+        with pytest.raises(ValueError, match=message):
+            evolve(GaussianState(0.0, 0.0, 1.0, 1.0, 0.0), FreeMass(1.0), t)
+
 
 class TestClosedForm:
     def test_spreading_value(self):

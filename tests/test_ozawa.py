@@ -1,5 +1,6 @@
 import json
 import math
+import struct
 from pathlib import Path
 
 import numpy as np
@@ -36,6 +37,7 @@ from quvar import (
     symplectic_defect,
     system_marginal,
 )
+from quvar import ozawa
 
 SQRT3 = math.sqrt(3.0)
 REFERENCE_CONFIG = Path(__file__).resolve().parent.parent / "configs" / "ozawa_reference.json"
@@ -648,6 +650,14 @@ class TestRunProtocolBitIdentity:
     def test_explicit_period(self):
         self.check(base_config(N=50, T=0.7, **SYSTEMS["osc"]))
 
+    @pytest.mark.parametrize(
+        "system, mode", [("free", "sample"), ("osc", "mean"), ("osc-dimless", "sample")]
+    )
+    def test_long_runs_match_public_call_loop(self, system, mode):
+        # Long enough for the covariance recursion to settle and any cycle
+        # among its few covariances to repeat many times.
+        self.check(base_config(N=2000, seed=5, mode=mode, **SYSTEMS[system]))
+
     @staticmethod
     def check(cfg):
         got = run_protocol(cfg)
@@ -656,6 +666,46 @@ class TestRunProtocolBitIdentity:
         for a, b in zip(got.steps, want.steps):
             assert a == b
         assert got.to_csv().encode() == reference_csv(want).encode()
+
+
+def spy_covariance_step(monkeypatch):
+    """The pre-measurement covariances run_protocol's covariance step is called with."""
+    calls, covariance_step = [], ozawa._covariance_step
+
+    def spy(cov, *args):
+        calls.append(cov)
+        return covariance_step(cov, *args)
+
+    monkeypatch.setattr(ozawa, "_covariance_step", spy)
+    return calls
+
+
+@pytest.mark.parametrize("T", ["auto", 0.5])
+def test_covariance_step_runs_once_per_distinct_covariance(monkeypatch, T):
+    # The covariance half of a round depends on the pre-measurement covariance
+    # alone, so run_protocol computes it once per distinct covariance.
+    calls = spy_covariance_step(monkeypatch)
+    raw = dict(json.loads(REFERENCE_CONFIG.read_text()), N=1000, T=T)
+    TestRunProtocolBitIdentity.check(OzawaConfig.from_dict(raw))
+    assert 1 <= len(calls) <= 10
+    assert len({struct.pack("3d", *cov) for cov in calls}) == len(calls)
+
+
+def test_a_signed_zero_covariance_is_its_own_step(monkeypatch):
+    # -0.0 == 0.0, but the bits differ, and so may the bits computed from them.
+    # With omega = 0 the free flow is the identity: round 2 starts from round
+    # 1's posterior covariance, which is round 1's own with vxp = +0.0.
+    calls = spy_covariance_step(monkeypatch)
+    cfg = base_config(
+        system=DimensionlessOscillator(omega=0.0),
+        meter_variances=(1.0, 0.25),
+        initial_system=GaussianState(0.5, 0.0, 1.0000000000000002, 0.25, -0.0),
+        T=0.5,
+        mode="mean",
+    )
+    TestRunProtocolBitIdentity.check(cfg)
+    assert [(vxx, vpp) for vxx, vpp, _ in calls] == [(1.0000000000000002, 0.25)] * 2
+    assert [math.copysign(1.0, vxp) for *_, vxp in calls] == [-1.0, 1.0]
 
 
 def test_sample_mode_readings_are_standard_normal_deviates():
