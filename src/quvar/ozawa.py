@@ -30,12 +30,8 @@ variance from ever exceeding the meter's.
 from __future__ import annotations
 
 import contextlib
-import functools
 import math
-import numbers
-import operator
 import struct
-import sys
 from dataclasses import asdict, dataclass, fields
 from typing import Iterator, Optional
 
@@ -49,7 +45,6 @@ from .gaussian import (
     Oscillator,
     PhysConfig,
     SystemModel,
-    evolve,
     validate_state,
 )
 
@@ -146,12 +141,17 @@ def couple(
     for name, state in (("system", system), ("meter", meter)):
         _require_valid(name, state, config)
     M = interaction_map(k, tau)
+    mean = M @ np.array([system.mean_x, system.mean_p, meter.mean_x, meter.mean_p])
+    return TwoModeGaussian(mean=mean, cov=_joint_cov(system, meter, M))
+
+
+def _joint_cov(system: GaussianState, meter: GaussianState, M: np.ndarray) -> np.ndarray:
+    """M·(system ⊕ meter)·Mᵀ, symmetrized: the covariance of the coupled product."""
     cov = np.zeros((4, 4))
     cov[:2, :2] = system.cov
     cov[2:, 2:] = meter.cov
     cov = M @ cov @ M.T
-    mean = M @ np.array([system.mean_x, system.mean_p, meter.mean_x, meter.mean_p])
-    return TwoModeGaussian(mean=mean, cov=0.5 * (cov + cov.T))
+    return 0.5 * (cov + cov.T)
 
 
 def _require_valid(name: str, state: GaussianState, config: PhysConfig) -> None:
@@ -221,79 +221,21 @@ def _model(system: dict) -> SystemModel:
         raise ConfigError("system", str(exc)) from exc
 
 
-_TYPES = {"object": (dict, "an object"), "null": (type(None), "null"),
-          "number": (numbers.Real, "a number"), "integer": (numbers.Real, "an integer")}
 # Each field as the run holds it, from its JSON value (3.0 is an integer; "auto" is None).
 _FIELDS = dict(k=float, tau=float, N=int, Omega=float, delta_tau=float, seed=int, hbar=float,
                T=lambda t: None if t in (None, "auto") else float(t), system=_model,
                meter_variances=lambda m: (float(m["vyy0"]), float(m["vpp_y0"])),
                initial_system=lambda s: GaussianState(
                    *(float(s[f.name]) for f in fields(GaussianState))))
-_BOUNDS = (("minimum", ">=", operator.lt), ("exclusiveMinimum", ">", operator.le),
-           ("maximum", "<=", operator.gt))
 
 
-@functools.cache
-def _schema() -> dict:
-    """The config schema shipped beside this module, read on first use."""
-    import json
-    from importlib import resources
-    return json.loads((resources.files(__package__) / "ozawa_config.schema.json").read_text())
+def _check(raw: dict) -> None:
+    """Check a config's JSON object against ozawa_config.schema.json. The
+    checker is imported on first use: commands that build no config never
+    compile it."""
+    from ._schema import check, config_schema
 
-
-def _error(value, schema: dict, label: str) -> Optional[ConfigError]:
-    try:
-        _check(value, schema, label)
-    except ConfigError as exc:
-        return exc
-
-
-def _check(value, schema: dict, label: str = "") -> None:
-    """Raise ConfigError naming the dotted field where value breaks the schema.
-    Reads the keywords ozawa_config.schema.json uses and no others: type
-    (object, number, integer, null), required, properties, additionalProperties:
-    false, const, enum, minimum, exclusiveMinimum, maximum, oneOf, allOf, if/then.
-    """
-    where, kind = label or "config", schema.get("type")
-    if kind:
-        cls, what = _TYPES[kind]
-        # JSON has one number type: 3.0 is an integer, as the schema reads it.
-        if isinstance(value, bool) or not isinstance(value, cls) or kind == "integer" and value % 1:
-            raise ConfigError(where, f"expected {what}, got {value!r}")
-        if kind in ("number", "integer") and not isinstance(value, numbers.Integral):
-            value = float(value)  # exact; a numpy float32 would meet the bounds below as inf
-    # A number must fit a double. abs() <= max compares an int exactly, where math.isfinite
-    # and float() raise OverflowError on a JSON integer beyond the float range (10**400).
-    if kind == "number" and not abs(value) <= sys.float_info.max:
-        raise ConfigError(where, f"must be finite, got {value}")
-    # == is JSON equality only where a type keyword has ruled out true == 1.
-    if "const" in schema and value != schema["const"]:
-        raise ConfigError(where, f"must be {schema['const']!r}, got {value!r}")
-    if "enum" in schema and value not in schema["enum"]:
-        raise ConfigError(where, f"must be one of {' | '.join(schema['enum'])}, got {value!r}")
-    # The bounds sit beside a number type, so value is a number here.
-    for key, op, fails in _BOUNDS:
-        if key in schema and fails(value, schema[key]):
-            raise ConfigError(where, f"must be {op} {schema[key]}, got {value}")
-    if isinstance(value, dict):
-        props = schema.get("properties", {})
-        for name in schema.get("required", ()):
-            if name not in value:
-                raise ConfigError(f"{label}.{name}".lstrip("."), "missing required field")
-        for name in value:
-            if schema.get("additionalProperties") is False and name not in props:
-                raise ConfigError(f"{label}.{name}".lstrip("."), "unknown field")
-        for name, sub in props.items():
-            if name in value:
-                _check(value[name], sub, f"{label}.{name}".lstrip("."))
-    if "if" in schema and _error(value, schema["if"], label) is None:
-        _check(value, schema["then"], label)
-    for sub in schema.get("allOf", ()):
-        _check(value, sub, label)
-    if "oneOf" in schema:  # no match: the first alternative's complaint
-        errors = [_error(value, sub, label) for sub in schema["oneOf"]]
-        if errors.count(None) != 1:
-            raise errors[0] if None not in errors else ConfigError(where, "fits two alternatives")
+    check(raw, config_schema())
 
 
 @dataclass(frozen=True)
@@ -324,7 +266,7 @@ class OzawaConfig:
 
     def __post_init__(self) -> None:
         raw = self.to_dict()
-        _check(raw, _schema())
+        _check(raw)
         for name, held in _FIELDS.items():
             object.__setattr__(self, name, held(raw[name]))
         if self.system._hbar(self.hbar) != self.hbar:
@@ -403,7 +345,7 @@ class OzawaConfig:
     def from_dict(cls, raw: dict) -> "OzawaConfig":
         """Build from a JSON config. The schema ozawa_config.schema.json in this
         package holds the per-field rules; the constructor adds the cross-field ones."""
-        _check(raw, _schema())
+        _check(raw)
         # Absent optional fields keep the defaults: hbar 1.0, T "auto" (None), mode "sample".
         return cls(**{name: raw[name] for name in (*_FIELDS, "mode") if name in raw})
 
@@ -478,18 +420,23 @@ class ProtocolTrace:
         return "".join(self.csv_lines())
 
 
-def _covariance_step(
-    cov: tuple, meter: GaussianState, wait: float, config: OzawaConfig, pconf: PhysConfig
-) -> tuple:
-    """The reading-independent half of a round, for the pre-measurement
-    covariance (vxx, vpp, vxp): couple → read_meter → evolve on a zero-mean
-    state. No covariance operation reads a mean, so these are the round's own
-    covariances bit for bit. Returns the joint 4×4 covariance as nested lists,
-    the posterior (vxx, vpp, vxp) and the next pre-measurement one."""
-    joint = couple(GaussianState(0.0, 0.0, *cov), meter, config.k, config.tau, pconf)
-    post = read_meter(joint, 0.0)
-    nxt = evolve(post, config.system, wait, pconf)
-    return joint.cov.tolist(), (post.vxx, post.vpp, post.vxp), (nxt.vxx, nxt.vpp, nxt.vxp)
+def _covariance_step(cov: tuple, meter: GaussianState, M: np.ndarray, F: np.ndarray) -> tuple:
+    """The reading-independent half of a round for the pre-measurement
+    covariance (vxx, vpp, vxp): couple's, read_meter's and evolve's covariance
+    arithmetic, with the run's coupling map M and free flow F and without the
+    state checks the loop makes each round. No covariance operation reads a
+    mean, so these are the round's own covariances bit for bit. Returns the
+    cross terms c02, c12, the meter marginal's (vyy, vpp, vyp), the
+    posterior's (vxx, vpp, vxp) and the next pre-measurement one, flat."""
+    c = _joint_cov(GaussianState(0.0, 0.0, *cov), meter, M).tolist()
+    c02, c12, vyy = c[0][2], c[1][2], c[2][2]
+    if vyy <= 0:
+        raise ValueError(f"cannot condition: meter position variance {vyy} is not positive")
+    # read_meter's Schur complement and from_moments' symmetrization, elementwise.
+    xp = c[0][1] - c02 * c12 / vyy
+    post = c[0][0] - c02 * c02 / vyy, c[1][1] - c12 * c12 / vyy, 0.5 * (xp + xp)
+    n = (F @ GaussianState(0.0, 0.0, *post).cov @ F.T).tolist()
+    return c02, c12, vyy, c[3][3], c[2][3], *post, n[0][0], n[1][1], 0.5 * (n[0][1] + n[1][0])
 
 
 def run_protocol(config: OzawaConfig, strict: bool = False) -> ProtocolTrace:
@@ -543,23 +490,22 @@ def run_protocol(config: OzawaConfig, strict: bool = False) -> ProtocolTrace:
         _require_valid("system", system, pconf)
         cov = system.vxx, system.vpp, system.vxp
         key = struct.pack("3d", *cov)  # unlike ==, the bits tell -0.0 from 0.0
-        if key not in steps:
-            steps[key] = _covariance_step(cov, meter, wait, config, pconf)
-        c, post_cov, next_cov = steps[key]
+        step = steps.get(key)
+        if step is None:
+            step = steps[key] = _covariance_step(cov, meter, M, F)
+        c02, c12, vyy, vpp_y, vyp, pxx, ppp, pxp, nxx, npp, nxp = step
         # The mean step: couple's, read_meter's and evolve's mean arithmetic.
         mean = (M @ np.array([system.mean_x, system.mean_p, meter.mean_x, meter.mean_p])).tolist()
-        marginal = GaussianState(mean[2], mean[3], c[2][2], c[3][3], c[2][3])
-        reading = marginal.mean_x
+        marginal = GaussianState(mean[2], mean[3], vyy, vpp_y, vyp)
+        reading = mean[2]
         if config.mode == "sample":
-            reading += math.sqrt(marginal.vxx) * normals[i - 1]
+            reading += math.sqrt(vyy) * normals[i - 1]
         if not math.isfinite(reading):
             raise ValueError(f"y_reading must be finite, got {reading}")
-        shift = reading - marginal.mean_x
-        post = GaussianState(
-            mean[0] + c[0][2] * shift / c[2][2], mean[1] + c[1][2] * shift / c[2][2], *post_cov
-        )
+        shift = reading - mean[2]
+        post = GaussianState(mean[0] + c02 * shift / vyy, mean[1] + c12 * shift / vyy, pxx, ppp, pxp)
         if timing_exact:
-            transfer_err = abs(marginal.vxx - system.vxx)
+            transfer_err = abs(vyy - system.vxx)
             if transfer_err > 1e-10 * max(1.0, abs(system.vxx)):
                 raise RuntimeError(
                     f"variance transfer violated at step {i}: "
@@ -568,5 +514,5 @@ def run_protocol(config: OzawaConfig, strict: bool = False) -> ProtocolTrace:
         records.append(StepRecord(i, (i - 1) * period, reading, system, post, marginal))
         _require_valid("posterior", post, pconf)
         mean = (F @ np.array([post.mean_x, post.mean_p])).tolist()
-        system = GaussianState(mean[0], mean[1], *next_cov)
+        system = GaussianState(mean[0], mean[1], nxx, npp, nxp)
     return ProtocolTrace(steps=tuple(records))
