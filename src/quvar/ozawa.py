@@ -406,37 +406,47 @@ class ProtocolTrace:
 
     def csv_lines(self) -> Iterator[str]:
         """The trace CSV one newline-terminated line at a time: the header,
-        then one row per measurement with floats at 17 significant digits."""
+        then one row per measurement with floats at 17 significant digits.
+        The seven covariance cells are formatted again only when their bits
+        differ from the previous row's (a bits compare keeps -0 apart from 0)."""
         yield "i,t,y_reading,vxx_pre,vxp_pre,vpp_pre,vxx_post,vxp_post,vpp_post,vyy_meter\n"
+        last = None
         for s in self.steps:
             pre, post = s.pre, s.post
-            yield (
-                f"{s.index},{s.time:.17g},{s.y_reading:.17g},"
-                f"{pre.vxx:.17g},{pre.vxp:.17g},{pre.vpp:.17g},"
-                f"{post.vxx:.17g},{post.vxp:.17g},{post.vpp:.17g},{s.meter.vxx:.17g}\n"
-            )
+            cov = pre.vxx, pre.vxp, pre.vpp, post.vxx, post.vxp, post.vpp, s.meter.vxx
+            bits = struct.pack("7d", *cov)
+            if bits != last:
+                last, cells = bits, "%.17g,%.17g,%.17g,%.17g,%.17g,%.17g,%.17g" % cov
+            yield f"{s.index},{s.time:.17g},{s.y_reading:.17g},{cells}\n"
 
     def to_csv(self) -> str:
         return "".join(self.csv_lines())
 
 
-def _covariance_step(cov: tuple, meter: GaussianState, M: np.ndarray, F: np.ndarray) -> tuple:
+def _covariance_step(cov: tuple, meter: GaussianState, M: np.ndarray, F: np.ndarray,
+                     pconf: PhysConfig) -> tuple:
     """The reading-independent half of a round for the pre-measurement
     covariance (vxx, vpp, vxp): couple's, read_meter's and evolve's covariance
-    arithmetic, with the run's coupling map M and free flow F and without the
-    state checks the loop makes each round. No covariance operation reads a
-    mean, so these are the round's own covariances bit for bit. Returns the
-    cross terms c02, c12, the meter marginal's (vyy, vpp, vyp), the
-    posterior's (vxx, vpp, vxp) and the next pre-measurement one, flat."""
-    c = _joint_cov(GaussianState(0.0, 0.0, *cov), meter, M).tolist()
-    c02, c12, vyy = c[0][2], c[1][2], c[2][2]
-    if vyy <= 0:
-        raise ValueError(f"cannot condition: meter position variance {vyy} is not positive")
-    # read_meter's Schur complement and from_moments' symmetrization, elementwise.
-    xp = c[0][1] - c02 * c12 / vyy
-    post = c[0][0] - c02 * c02 / vyy, c[1][1] - c12 * c12 / vyy, 0.5 * (xp + xp)
-    n = (F @ GaussianState(0.0, 0.0, *post).cov @ F.T).tolist()
-    return c02, c12, vyy, c[3][3], c[2][3], *post, n[0][0], n[1][1], 0.5 * (n[0][1] + n[1][0])
+    arithmetic, with the run's coupling map M and free flow F, under
+    np.errstate so that an overflow is named rather than warned about. No
+    covariance operation reads a mean, so these are the round's own
+    covariances bit for bit. Returns the cross terms c02, c12, the meter
+    marginal's (vyy, vpp, vyp), the posterior's (vxx, vpp, vxp), the next
+    pre-measurement one and ok, flat: ok is False unless the posterior
+    covariance validates (with any finite means) and the next one is finite."""
+    with np.errstate(all="ignore"):
+        c = _joint_cov(GaussianState(0.0, 0.0, *cov), meter, M).tolist()
+        c02, c12, vyy = c[0][2], c[1][2], c[2][2]
+        if vyy <= 0:
+            raise ValueError(f"cannot condition: meter position variance {vyy} is not positive")
+        # read_meter's Schur complement and from_moments' symmetrization, elementwise.
+        xp = c[0][1] - c02 * c12 / vyy
+        post = c[0][0] - c02 * c02 / vyy, c[1][1] - c12 * c12 / vyy, 0.5 * (xp + xp)
+        q = GaussianState(0.0, 0.0, *post)
+        n = (F @ q.cov @ F.T).tolist()
+    n = n[0][0], n[1][1], 0.5 * (n[0][1] + n[1][0])
+    ok = validate_state(q, pconf).ok and all(map(math.isfinite, n))
+    return c02, c12, vyy, c[3][3], c[2][3], *post, *n, ok
 
 
 def run_protocol(config: OzawaConfig, strict: bool = False) -> ProtocolTrace:
@@ -459,11 +469,17 @@ def run_protocol(config: OzawaConfig, strict: bool = False) -> ProtocolTrace:
     two: the covariance step runs once per distinct pre-measurement
     covariance, keyed by its exact bits (−0.0 is not 0.0), and only the means
     are computed every round. At the transfer dose the recursion settles at
-    once, so a run visits a handful of covariances. Each round still
-    validates its pre-measurement and posterior states and its reading. The
-    result is bit-identical to chaining couple → meter_marginal → read_meter
-    → evolve by hand with rng.normal draws. ProtocolTrace.csv_lines() streams
-    the trace as CSV row by row, which is how `quvar ozawa` writes it.
+    once, so a run visits a handful of covariances. The state checks split
+    the same way: the covariance half of the pre-measurement and posterior
+    checks runs with the covariance step, and a round that reuses a step
+    checks only that its means (and its reading) are finite. Any failure
+    runs the full check at the same point of the round, so every error keeps
+    its message and its round. A posterior covariance that the free flow
+    overflows is named at the end of its round: ValueError "round i: …".
+    The result is bit-identical to chaining couple → meter_marginal →
+    read_meter → evolve by hand with rng.normal draws.
+    ProtocolTrace.csv_lines() streams the trace as CSV row by row, which is
+    how `quvar ozawa` writes it.
     """
     warnings = check_regime(config)
     if strict and warnings:
@@ -487,13 +503,14 @@ def run_protocol(config: OzawaConfig, strict: bool = False) -> ProtocolTrace:
     system = config.initial_system
     records = []
     for i in range(1, config.N + 1):
-        _require_valid("system", system, pconf)
         cov = system.vxx, system.vpp, system.vxp
         key = struct.pack("3d", *cov)  # unlike ==, the bits tell -0.0 from 0.0
         step = steps.get(key)
-        if step is None:
-            step = steps[key] = _covariance_step(cov, meter, M, F)
-        c02, c12, vyy, vpp_y, vyp, pxx, ppp, pxp, nxx, npp, nxp = step
+        # A stored covariance has passed this check: only the means can fail it.
+        if step is None or not math.isfinite(system.mean_x + system.mean_p):
+            _require_valid("system", system, pconf)
+            step = steps[key] = step or _covariance_step(cov, meter, M, F, pconf)
+        c02, c12, vyy, vpp_y, vyp, pxx, ppp, pxp, nxx, npp, nxp, ok = step
         # The mean step: couple's, read_meter's and evolve's mean arithmetic.
         mean = (M @ np.array([system.mean_x, system.mean_p, meter.mean_x, meter.mean_p])).tolist()
         marginal = GaussianState(mean[2], mean[3], vyy, vpp_y, vyp)
@@ -512,7 +529,10 @@ def run_protocol(config: OzawaConfig, strict: bool = False) -> ProtocolTrace:
                     f"|vyy_meter - vxx_pre| = {transfer_err:.3g}"
                 )
         records.append(StepRecord(i, (i - 1) * period, reading, system, post, marginal))
-        _require_valid("posterior", post, pconf)
+        if not (ok and math.isfinite(post.mean_x + post.mean_p)):
+            _require_valid("posterior", post, pconf)
+            if not ok:  # a valid posterior: the next covariance overflowed
+                raise ValueError(f"round {i}: posterior covariance overflows over T - tau = {wait}")
         mean = (F @ np.array([post.mean_x, post.mean_p])).tolist()
         system = GaussianState(mean[0], mean[1], nxx, npp, nxp)
     return ProtocolTrace(steps=tuple(records))

@@ -1,6 +1,7 @@
 import io
 import json
 import math
+import warnings
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
@@ -490,6 +491,25 @@ class TestOzawa:
         code, out, err = run_cli(capsys, "ozawa", "--config", str(path))
         assert (code, out) == (2, "")
         assert err.startswith("invalid config: T: ")
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_an_overflowing_posterior_covariance_names_its_round(self, capsys, tmp_path, n):
+        # Off dose the posterior is not the meter's preparation, so T passes the
+        # config's meter check while the free flow overflows the posterior's
+        # covariance. Round 1 is named even when it is the last round.
+        raw = json.loads(open(REFERENCE_CONFIG).read())
+        raw.update(T=5e153, k=raw["k"] * 0.1, N=n)
+        raw["initial_system"]["vpp"] = 100.0
+        path = tmp_path / "overflow.json"
+        path.write_text(json.dumps(raw))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)  # none may reach stderr
+            code, out, err = run_cli(capsys, "ozawa", "--config", str(path))
+        assert (code, out) == (1, "")
+        assert err.endswith(
+            "protocol failed: round 1: posterior covariance overflows over T - tau = 5e+153\n"
+        )
+        assert "RuntimeWarning" not in err
 
     def test_negative_seed_exits_2(self, capsys, tmp_path):
         raw = json.loads(open(REFERENCE_CONFIG).read())

@@ -21,7 +21,7 @@ import pytest
 from quvar.cli import main
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
-REFERENCE_CONFIG = str(Path(__file__).resolve().parent.parent / "configs" / "ozawa_reference.json")
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 _FREE = ["--m", "1.7", "--hbar", "0.8", "--vxx0", "1.3", "--vpp0", "0.9"]
 _OSC = ["--m", "1.5", "--omega", "0.7", "--hbar", "0.8", "--vxx0", "1.3", "--vpp0", "0.9"]
@@ -95,7 +95,10 @@ CASES = {
     ),
     "oracle_tolerance_fail": (["oracle", "--n", "1024", "--tolerance", "1e-17"], 1),
     "oracle_grid_too_coarse": (["oracle", "--n", "64"], 1),
-    "ozawa_reference": (["ozawa", "--config", REFERENCE_CONFIG], 0),
+    "ozawa_reference": (["ozawa", "--config", str(CONFIGS / "ozawa_reference.json")], 0),
+    # An oscillator at k·tau × 0.1: off the transfer dose the covariance never
+    # repeats in 200 rounds, so no two consecutive rows share a covariance.
+    "ozawa_off_dose": (["ozawa", "--config", str(CONFIGS / "ozawa_off_dose.json")], 0),
 }
 
 

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import struct
@@ -706,6 +707,93 @@ def test_a_signed_zero_covariance_is_its_own_step(monkeypatch):
     TestRunProtocolBitIdentity.check(cfg)
     assert [(vxx, vpp) for vxx, vpp, _ in calls] == [(1.0000000000000002, 0.25)] * 2
     assert [math.copysign(1.0, vxp) for *_, vxp in calls] == [-1.0, 1.0]
+
+
+def spy_validate_state(monkeypatch):
+    """The states run_protocol validates, through ozawa.validate_state."""
+    calls, validate_state = [], ozawa.validate_state
+
+    def spy(state, *args):
+        calls.append(state)
+        return validate_state(state, *args)
+
+    monkeypatch.setattr(ozawa, "validate_state", spy)
+    return calls
+
+
+@pytest.mark.parametrize("mode", ["mean", "sample"])
+def test_states_are_validated_once_per_distinct_covariance(monkeypatch, mode):
+    # The covariance half of the system and posterior checks depends on the
+    # covariance alone, so it runs when a covariance step is created; a round
+    # that reuses a step checks only that its means are finite. The + 1 is the
+    # meter preparation.
+    cfg = OzawaConfig.from_dict(dict(json.loads(REFERENCE_CONFIG.read_text()), N=1000, mode=mode))
+    steps = spy_covariance_step(monkeypatch)
+    validated = spy_validate_state(monkeypatch)
+    got = run_protocol(cfg)
+    assert 1 <= len(steps) <= 10
+    assert len(validated) <= 2 * len(steps) + 1
+    assert got.to_csv() == reference_csv(reference_trace(cfg))
+
+
+def first_error(run, cfg):
+    """The round in which run(cfg) first raises, and its error: the smallest N
+    for which the run raises (a run that raises at N raises at every larger N)."""
+
+    def error(n):
+        try:
+            run(dataclasses.replace(cfg, N=n))
+        except ValueError as exc:
+            return exc
+
+    lo, hi = 0, cfg.N  # no error in lo rounds, an error in hi
+    assert error(hi) is not None
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (lo, mid) if error(mid) else (mid, hi)
+    return hi, str(error(hi))
+
+
+# Off dose at k·tau × 0.5 the coupling stretches <x> by 1.15 a round, and the
+# explicit T settles the covariance by round 37: from <x> = 1e300 the coupled
+# mean overflows in round 133, in a round that reuses its covariance step.
+# At × 1.2 the meter reads 1.1·<x>, so from <x> = 1.7e308 the reading overflows.
+OVERFLOWING_MEANS = {
+    "posterior mean": (dict(SYSTEMS["free"], T=0.011, k=TRANSFER_KTAU / 0.01 * 0.5,
+                            initial_system=contractive(1.0, 2.0, mean_x=1e300)), 133),
+    "reading": (dict(SYSTEMS["free"], k=TRANSFER_KTAU / 0.01 * 1.2,
+                     initial_system=contractive(1.0, 2.0, mean_x=1.7e308)), 1),
+}
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered in matmul:RuntimeWarning")
+@pytest.mark.parametrize("mode", ["mean", "sample"])
+@pytest.mark.parametrize("case", sorted(OVERFLOWING_MEANS))
+def test_an_overflowing_mean_fails_as_in_the_public_call_loop(case, mode):
+    overrides, round_ = OVERFLOWING_MEANS[case]
+    cfg = base_config(N=300, mode=mode, **overrides)
+    got, want = first_error(run_protocol, cfg), first_error(reference_trace, cfg)
+    assert got[0] == want[0] == round_
+    if case == "reading":
+        assert got[1] == want[1] == "y_reading must be finite, got inf"
+    else:  # evolve, where the public call loop checks the posterior, names no state
+        assert want[1] == "mean_x must be finite, got inf"
+        assert got[1] == f"invalid posterior state: {want[1]}"
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered in matmul:RuntimeWarning")
+def test_a_mean_the_free_flow_overflows_fails_the_next_rounds_system_check():
+    # With m = 100 the free flow over T - tau overflows <p> at the end of
+    # round 131, a round that reuses its covariance step (the covariance
+    # settles by round 36). evolve names it in that round; run_protocol's
+    # per-round mean check hands the next round's state to the full check.
+    cfg = base_config(N=300, T=0.02, k=TRANSFER_KTAU / 0.01 * 0.5,
+                      **dict(SYSTEMS["osc"], system=Oscillator(m=100.0, omega=0.8),
+                             initial_system=contractive(1.0, 2.0, mean_x=1e300)))
+    assert first_error(reference_trace, cfg)[0] == 131
+    assert first_error(run_protocol, cfg) == (
+        132, "invalid system state: mean_p must be finite, got -inf"
+    )
 
 
 def test_sample_mode_readings_are_standard_normal_deviates():
