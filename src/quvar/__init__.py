@@ -54,7 +54,6 @@ from .gridsim import (
     joint_moments,
     moments,
     propagate_free,
-    propagate_osc,
     propagate_osc_exact,
     quadrature_norm,
     sample_extremal,

@@ -18,11 +18,15 @@ Conventions (bit-exact, since vpp depends on them):
 Free evolution is exact up to discretization (pure momentum-space phase).
 So is the oscillator (chirp–FFT–chirp, coefficients from the Hamiltonian,
 never from the closed-form flow it checks), the oracle's one route; the
-split step propagate_osc stays as the tests' reference for it. All preserve
-the norm to rounding. The public propagate_* check the input's momentum
-resolution, run an unchecked core and check the result's 8σ window and norm.
-The oracle checks its ψ0 once, then costs one propagation and one moments()
-per time.
+tests hold it against a split step of their own. Both preserve the norm to
+rounding. The public propagate_* check the input's momentum resolution, run
+an unchecked core and check the result's 8σ window and norm.
+
+The oracle builds its grid's points and momenta once (the Grid keeps them,
+read-only, for sampling, the cores and moments()), checks its ψ0 once, and
+then costs one propagation and one moments() per time. On the free route it
+transforms ψ0 once, so a time costs one phase multiply, one ifft and
+moments()' two FFTs; an oscillator time costs 2 FFTs per sub-step.
 
 The two-mode oracle checks quvar.ozawa's covariance algebra the same way.
 The coupling's position block has unit determinant, so the coupled joint
@@ -65,7 +69,6 @@ __all__ = [
     "quadrature_norm",
     "moments",
     "propagate_free",
-    "propagate_osc",
     "propagate_osc_exact",
     "verify_bounds_oracle",
     "OracleReport",
@@ -116,6 +119,24 @@ class Grid:
     def momenta(self, hbar: float) -> np.ndarray:
         """p_j = 2πħ·j/L in FFT order."""
         return 2.0 * math.pi * hbar * np.fft.fftfreq(self.n, d=self.dx)
+
+
+def _axes(grid: Grid, hbar: float) -> tuple:
+    """(grid.points(), grid.momenta(ħ)), read-only, built once per grid and ħ.
+
+    The grid object keeps the pair for the last ħ (value and type) it was
+    asked for, so a run on one grid builds its axes once, and a hit returns
+    the very arrays a miss would build. Grid.points() and Grid.momenta()
+    still return fresh arrays.
+    """
+    key = type(hbar), hbar
+    cached = grid.__dict__.get("_axes")  # one tuple: threads never mix two ħ
+    if cached is None or cached[0] != key:
+        x, p = grid.points(), grid.momenta(hbar)
+        x.flags.writeable = p.flags.writeable = False
+        # Not a field, so eq, hash and repr ignore it; frozen guards only setattr.
+        cached = grid.__dict__["_axes"] = key, x, p
+    return cached[1:]
 
 
 @dataclass(frozen=True, eq=False)
@@ -184,7 +205,7 @@ def sample_gaussian(
             f"σP = {sigma_p:.3g} (need dx < πħ/(|⟨P⟩| + 6σP) = {limit:.3g}"
             + (f"; n >= {n_min} on this domain)" if n_min else ")")
         )
-    amps = _gaussian_amps(grid.points(), width, mean_x, mean_p, hbar)
+    amps = _gaussian_amps(_axes(grid, hbar)[0], width, mean_x, mean_p, hbar)
     psi = WaveFn(grid=grid, amps=amps, hbar=hbar)
     norm = quadrature_norm(psi)
     if abs(norm - 1.0) > 1e-8:
@@ -212,7 +233,7 @@ def moments(psi: WaveFn, check_norm: bool = True) -> Moments:
     """
     grid, a, hbar = psi.grid, psi.amps, psi.hbar
     dx = grid.dx
-    x = grid.points()
+    x, p = _axes(grid, hbar)
     dens = np.abs(a) ** 2
     norm = float(np.trapezoid(dens, dx=dx))
     if check_norm and abs(norm - 1.0) > 1e-6:
@@ -222,7 +243,6 @@ def moments(psi: WaveFn, check_norm: bool = True) -> Moments:
     vxx = float(np.trapezoid(dev * dev * dens, dx=dx)) / norm
 
     phi = np.fft.fft(a)
-    p = grid.momenta(hbar)
     # |φ(p_j)|² with φ the continuum transform: Σ dens_p·Δp ≈ 1 by Parseval.
     dens_p = np.abs(phi) ** 2 * dx * dx / (2.0 * math.pi * hbar)
     dp = 2.0 * math.pi * hbar / grid.length
@@ -231,6 +251,7 @@ def moments(psi: WaveFn, check_norm: bool = True) -> Moments:
     vpp = float(np.sum((p - mean_p) ** 2 * dens_p)) * dp / norm_p
 
     p_psi = np.fft.ifft(p * phi)
+    del dens, phi, dens_p  # dead: free them for the three arrays of the vxp product
     vxp = float(
         np.real(np.trapezoid(np.conj(a) * dev * (p_psi - mean_p * a), dx=dx)) / norm
     )
@@ -279,11 +300,16 @@ def _checked(out: WaveFn) -> WaveFn:
     return out
 
 
-def _free(psi: WaveFn, m: float, t: float) -> WaveFn:
-    p = psi.grid.momenta(psi.hbar)
-    phi = np.fft.fft(psi.amps)
-    phi *= np.exp(-1j * p * p * t / (2.0 * m * psi.hbar))
-    return WaveFn(grid=psi.grid, amps=np.fft.ifft(phi), hbar=psi.hbar)
+class _Spectrum(WaveFn):
+    """ψ in momentum representation: amps = FFT(ψ.amps), in FFT order."""
+
+
+def _free(spec: _Spectrum, m: float, t: float) -> WaveFn:
+    """One phase multiply and one ifft. The product is φ·e into a fresh array,
+    never e·φ: complex multiplication does not commute bit for bit."""
+    p = _axes(spec.grid, spec.hbar)[1]
+    e = np.exp(-1j * p * p * t / (2.0 * m * spec.hbar))
+    return WaveFn(grid=spec.grid, amps=np.fft.ifft(spec.amps * e), hbar=spec.hbar)
 
 
 def propagate_free(psi: WaveFn, m: float, t: float) -> WaveFn:
@@ -296,7 +322,7 @@ def propagate_free(psi: WaveFn, m: float, t: float) -> WaveFn:
     if not m > 0:
         raise ValueError(f"m must be > 0, got {m}")
     _check_input(psi)
-    return _checked(_free(psi, m, t))
+    return _checked(_free(_Spectrum(psi.grid, np.fft.fft(psi.amps), psi.hbar), m, t))
 
 
 def _chirp_kick_chirp(psi: WaveFn, chirp: np.ndarray, kick: np.ndarray, n_steps: int) -> WaveFn:
@@ -310,39 +336,12 @@ def _chirp_kick_chirp(psi: WaveFn, chirp: np.ndarray, kick: np.ndarray, n_steps:
     return WaveFn(grid=psi.grid, amps=a * chirp, hbar=psi.hbar)
 
 
-def _split(psi: WaveFn, m: float, omega: float, t: float, n_steps: int) -> WaveFn:
-    dt = t / n_steps
-    x = psi.grid.points()
-    p = psi.grid.momenta(psi.hbar)
-    half_v = np.exp(-1j * m * omega * omega * x * x * dt / (4.0 * psi.hbar))
-    kinetic = np.exp(-1j * p * p * dt / (2.0 * m * psi.hbar))
-    return _chirp_kick_chirp(psi, half_v, kinetic, n_steps)
-
-
-def propagate_osc(psi: WaveFn, m: float, omega: float, t: float, n_steps: int) -> WaveFn:
-    """Oscillator evolution by symmetric split step, V = ½mω²x².
-
-    (e^{−iV dt/2ħ} e^{−iT dt/ħ} e^{−iV dt/2ħ})^n_steps with dt = t/n_steps;
-    second-order accurate in dt, exactly unitary per step. ω = 0 reduces to
-    the free propagator (the potential phase is identically 1).
-    """
-    if not m > 0:
-        raise ValueError(f"m must be > 0, got {m}")
-    if omega < 0:
-        raise ValueError(f"omega must be >= 0, got {omega}")
-    if n_steps < 1:
-        raise ValueError(f"n_steps must be >= 1, got {n_steps}")
-    _check_input(psi)
-    return _checked(_split(psi, m, omega, t, n_steps))
-
-
 def _exact(psi: WaveFn, m: float, omega: float, t: float) -> WaveFn:
     theta = math.remainder(omega * t, 2.0 * math.pi)
     k = max(1, math.ceil(abs(theta) / (0.5 * math.pi)))
     theta_k = theta / k
     mw = m * omega
-    x = psi.grid.points()
-    p = psi.grid.momenta(psi.hbar)
+    x, p = _axes(psi.grid, psi.hbar)
     chirp = np.exp(-1j * math.tan(0.5 * theta_k) * mw * x * x / (2.0 * psi.hbar))
     kick = np.exp(-1j * math.sin(theta_k) * p * p / (2.0 * mw * psi.hbar))
     return _chirp_kick_chirp(psi, chirp, kick, k)
@@ -366,7 +365,8 @@ def propagate_osc_exact(psi: WaveFn, m: float, omega: float, t: float) -> WaveFn
 
 
 def _route(model: SystemModel, t: float):
-    """(core, args): _propagate runs core(ψ, *args); core None copies ψ."""
+    """(core, args): _propagate runs core(src, *args), src being ψ, or ψ's
+    _Spectrum for _free; core None copies ψ."""
     if isinstance(model, FreeMass):
         return _free, (model.m, t)
     if isinstance(model, DimensionlessOscillator):
@@ -377,12 +377,12 @@ def _route(model: SystemModel, t: float):
     return _exact, (model.m, model.omega, t)
 
 
-def _propagate(psi: WaveFn, model: SystemModel, t: float) -> WaveFn:
+def _propagate(src: WaveFn, model: SystemModel, t: float) -> WaveFn:
     """Unchecked: the oracle runs the input checks once and the result check per time."""
     core, args = _route(model, t)
     if core is None:
-        return WaveFn(grid=psi.grid, amps=psi.amps.copy(), hbar=psi.hbar)
-    return core(psi, *args)
+        return WaveFn(grid=src.grid, amps=src.amps.copy(), hbar=src.hbar)
+    return core(src, *args)
 
 
 def _spec_from_state(state: GaussianState, hbar: float) -> ExtremalSpec:
@@ -447,8 +447,11 @@ def verify_bounds_oracle(
     target: passing a GaussianState requires a saturated SR margin (a mixed
     covariance has no single wavefunction). The arguments, the initial state
     and (by one envelope and one x-row call) every t and phase ωt are checked
-    before any flow map, sampling or FFT; then ψ0 is checked once, and each
-    time costs one exact propagation and one moments().
+    before any flow map, sampling or FFT. Then the grid's points and momenta
+    are built once, ψ0 is checked once, and each time costs one exact
+    propagation and one moments(). The free route transforms ψ0 once and
+    drops its amplitudes, so its propagation is one phase multiply and one
+    ifft.
     """
     if not 0 <= tolerance < math.inf:
         raise ValueError(f"tolerance must be >= 0 and finite, got {tolerance}")
@@ -482,16 +485,18 @@ def verify_bounds_oracle(
         if not x_max > x_min:  # the half-width vanished next to the mean
             raise ValueError(f"domain_sigmas = {domain_sigmas} gives no domain: [{x_min}, {x_max}]")
         grid = Grid(x_min, x_max, n)
-    psi0 = sample_extremal(spec, mean_x, mean_p, grid, hbar)
+    src = sample_extremal(spec, mean_x, mean_p, grid, hbar)  # ψ0
     # Every time starts from ψ0: check it once, as the first propagator run would.
     routes = [_route(model, t) for t in times]
     core, args = next((r for r in routes if r[0] is not None), (None, ()))
     if core is not None:
-        _check_input(psi0, args[0] * args[1] if core is _exact else None)
+        _check_input(src, args[0] * args[1] if core is _exact else None)
+    if core is _free:  # transform ψ0 once, and let its amplitudes go
+        src = _Spectrum(grid, np.fft.fft(src.amps), hbar)
 
     rows = []
     for t, env in zip(times, refs):
-        psi_t = _propagate(psi0, model, t)
+        psi_t = _propagate(src, model, t)
         got = moments(psi_t)
         _check_result(psi_t, got)
         want = evolve(state0, model, t, config)

@@ -427,23 +427,22 @@ def _covariance_step(cov: tuple, meter: GaussianState, M: np.ndarray, F: np.ndar
                      pconf: PhysConfig) -> tuple:
     """The reading-independent half of a round for the pre-measurement
     covariance (vxx, vpp, vxp): couple's, read_meter's and evolve's covariance
-    arithmetic, with the run's coupling map M and free flow F, under
-    np.errstate so that an overflow is named rather than warned about. No
-    covariance operation reads a mean, so these are the round's own
+    arithmetic, with the run's coupling map M and free flow F. It runs inside
+    run_protocol's np.errstate, so an overflow is named rather than warned
+    about. No covariance operation reads a mean, so these are the round's own
     covariances bit for bit. Returns the cross terms c02, c12, the meter
     marginal's (vyy, vpp, vyp), the posterior's (vxx, vpp, vxp), the next
     pre-measurement one and ok, flat: ok is False unless the posterior
     covariance validates (with any finite means) and the next one is finite."""
-    with np.errstate(all="ignore"):
-        c = _joint_cov(GaussianState(0.0, 0.0, *cov), meter, M).tolist()
-        c02, c12, vyy = c[0][2], c[1][2], c[2][2]
-        if vyy <= 0:
-            raise ValueError(f"cannot condition: meter position variance {vyy} is not positive")
-        # read_meter's Schur complement and from_moments' symmetrization, elementwise.
-        xp = c[0][1] - c02 * c12 / vyy
-        post = c[0][0] - c02 * c02 / vyy, c[1][1] - c12 * c12 / vyy, 0.5 * (xp + xp)
-        q = GaussianState(0.0, 0.0, *post)
-        n = (F @ q.cov @ F.T).tolist()
+    c = _joint_cov(GaussianState(0.0, 0.0, *cov), meter, M).tolist()
+    c02, c12, vyy = c[0][2], c[1][2], c[2][2]
+    if vyy <= 0:
+        raise ValueError(f"cannot condition: meter position variance {vyy} is not positive")
+    # read_meter's Schur complement and from_moments' symmetrization, elementwise.
+    xp = c[0][1] - c02 * c12 / vyy
+    post = c[0][0] - c02 * c02 / vyy, c[1][1] - c12 * c12 / vyy, 0.5 * (xp + xp)
+    q = GaussianState(0.0, 0.0, *post)
+    n = (F @ q.cov @ F.T).tolist()
     n = n[0][0], n[1][1], 0.5 * (n[0][1] + n[1][0])
     ok = validate_state(q, pconf).ok and all(map(math.isfinite, n))
     return c02, c12, vyy, c[3][3], c[2][3], *post, *n, ok
@@ -475,7 +474,10 @@ def run_protocol(config: OzawaConfig, strict: bool = False) -> ProtocolTrace:
     checks only that its means (and its reading) are finite. Any failure
     runs the full check at the same point of the round, so every error keeps
     its message and its round. A posterior covariance that the free flow
-    overflows is named at the end of its round: ValueError "round i: …".
+    overflows is named at the end of its round: ValueError "round i: …". A
+    mean that it overflows fails the next round's system check, or after
+    the last round ValueError "round N: posterior mean overflows …". The
+    loop runs under one np.errstate, so no numpy warning escapes.
     The result is bit-identical to chaining couple → meter_marginal →
     read_meter → evolve by hand with rng.normal draws.
     ProtocolTrace.csv_lines() streams the trace as CSV row by row, which is
@@ -502,37 +504,49 @@ def run_protocol(config: OzawaConfig, strict: bool = False) -> ProtocolTrace:
     steps = {}  # exact bits of a pre-measurement covariance -> its covariance step
     system = config.initial_system
     records = []
-    for i in range(1, config.N + 1):
-        cov = system.vxx, system.vpp, system.vxp
-        key = struct.pack("3d", *cov)  # unlike ==, the bits tell -0.0 from 0.0
-        step = steps.get(key)
-        # A stored covariance has passed this check: only the means can fail it.
-        if step is None or not math.isfinite(system.mean_x + system.mean_p):
-            _require_valid("system", system, pconf)
-            step = steps[key] = step or _covariance_step(cov, meter, M, F, pconf)
-        c02, c12, vyy, vpp_y, vyp, pxx, ppp, pxp, nxx, npp, nxp, ok = step
-        # The mean step: couple's, read_meter's and evolve's mean arithmetic.
-        mean = (M @ np.array([system.mean_x, system.mean_p, meter.mean_x, meter.mean_p])).tolist()
-        marginal = GaussianState(mean[2], mean[3], vyy, vpp_y, vyp)
-        reading = mean[2]
-        if config.mode == "sample":
-            reading += math.sqrt(vyy) * normals[i - 1]
-        if not math.isfinite(reading):
-            raise ValueError(f"y_reading must be finite, got {reading}")
-        shift = reading - mean[2]
-        post = GaussianState(mean[0] + c02 * shift / vyy, mean[1] + c12 * shift / vyy, pxx, ppp, pxp)
-        if timing_exact:
-            transfer_err = abs(vyy - system.vxx)
-            if transfer_err > 1e-10 * max(1.0, abs(system.vxx)):
-                raise RuntimeError(
-                    f"variance transfer violated at step {i}: "
-                    f"|vyy_meter - vxx_pre| = {transfer_err:.3g}"
-                )
-        records.append(StepRecord(i, (i - 1) * period, reading, system, post, marginal))
-        if not (ok and math.isfinite(post.mean_x + post.mean_p)):
-            _require_valid("posterior", post, pconf)
-            if not ok:  # a valid posterior: the next covariance overflowed
-                raise ValueError(f"round {i}: posterior covariance overflows over T - tau = {wait}")
-        mean = (F @ np.array([post.mean_x, post.mean_p])).tolist()
-        system = GaussianState(mean[0], mean[1], nxx, npp, nxp)
+    # One np.errstate for the whole loop: an overflowing mean or covariance is
+    # named by the checks below, never warned about.
+    with np.errstate(all="ignore"):
+        for i in range(1, config.N + 1):
+            cov = system.vxx, system.vpp, system.vxp
+            key = struct.pack("3d", *cov)  # unlike ==, the bits tell -0.0 from 0.0
+            step = steps.get(key)
+            # A stored covariance has passed this check: only the means can fail it.
+            if step is None or not math.isfinite(system.mean_x + system.mean_p):
+                _require_valid("system", system, pconf)
+                step = steps[key] = step or _covariance_step(cov, meter, M, F, pconf)
+            c02, c12, vyy, vpp_y, vyp, pxx, ppp, pxp, nxx, npp, nxp, ok = step
+            # The mean step: couple's, read_meter's and evolve's mean arithmetic.
+            mean = (
+                M @ np.array([system.mean_x, system.mean_p, meter.mean_x, meter.mean_p])
+            ).tolist()
+            marginal = GaussianState(mean[2], mean[3], vyy, vpp_y, vyp)
+            reading = mean[2]
+            if config.mode == "sample":
+                reading += math.sqrt(vyy) * normals[i - 1]
+            if not math.isfinite(reading):
+                raise ValueError(f"y_reading must be finite, got {reading}")
+            shift = reading - mean[2]
+            post = GaussianState(
+                mean[0] + c02 * shift / vyy, mean[1] + c12 * shift / vyy, pxx, ppp, pxp
+            )
+            if timing_exact:
+                transfer_err = abs(vyy - system.vxx)
+                if transfer_err > 1e-10 * max(1.0, abs(system.vxx)):
+                    raise RuntimeError(
+                        f"variance transfer violated at step {i}: "
+                        f"|vyy_meter - vxx_pre| = {transfer_err:.3g}"
+                    )
+            records.append(StepRecord(i, (i - 1) * period, reading, system, post, marginal))
+            if not (ok and math.isfinite(post.mean_x + post.mean_p)):
+                _require_valid("posterior", post, pconf)
+                if not ok:  # a valid posterior: the next covariance overflowed
+                    raise ValueError(
+                        f"round {i}: posterior covariance overflows over T - tau = {wait}"
+                    )
+            mean = (F @ np.array([post.mean_x, post.mean_p])).tolist()
+            system = GaussianState(mean[0], mean[1], nxx, npp, nxp)
+    # A round's evolved mean is checked by the next round; the last round's here.
+    if not (math.isfinite(system.mean_x) and math.isfinite(system.mean_p)):
+        raise ValueError(f"round {config.N}: posterior mean overflows over T - tau = {wait}")
     return ProtocolTrace(steps=tuple(records))

@@ -34,7 +34,6 @@ from quvar import (
     oscillator_bounds_dimensional,
     oscillator_bounds_x,
     propagate_free,
-    propagate_osc,
     read_meter,
     run_protocol,
     sample_extremal,
@@ -47,6 +46,7 @@ from quvar import (
 )
 from quvar.bounds import sqrt_uncertainty_excess
 from quvar.extremal import SqueezeParams
+from split_step import propagate_osc
 
 SQRT3 = math.sqrt(3.0)
 

@@ -1,4 +1,6 @@
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -21,7 +23,6 @@ from quvar import (
     gaussian_from_extremal,
     moments,
     propagate_free,
-    propagate_osc,
     propagate_osc_exact,
     quadrature_norm,
     sample_extremal,
@@ -32,6 +33,7 @@ from quvar import (
 from quvar import gridsim
 from quvar.bounds import envelope
 from quvar.gridsim import OracleRow, joint_moments, sample_joint
+from split_step import propagate_osc
 
 SQRT3 = math.sqrt(3.0)
 
@@ -432,6 +434,52 @@ class TestOracleArguments:
         with pytest.raises(ValueError) as err:
             verify_bounds_oracle(**args)
         assert str(err.value) == message
+
+
+class TestGridAxes:
+    """The oracle's grid axes: built once per grid and ħ, shared read-only."""
+
+    def test_built_once_read_only_and_bitwise_the_public_axes(self):
+        grid = Grid.centered(0.3, 20.0, 2**10)
+        x, p = gridsim._axes(grid, 0.8)
+        assert x.tobytes() == grid.points().tobytes()
+        assert p.tobytes() == grid.momenta(0.8).tobytes()
+        assert not x.flags.writeable and not p.flags.writeable
+        again = gridsim._axes(grid, 0.8)
+        assert again[0] is x and again[1] is p
+        assert grid.points() is not grid.points()  # the public methods stay fresh
+        # Another ħ, or the same value as another type, builds its own pair.
+        for hbar in (0.5, np.float32(0.5), 0.5):
+            got = gridsim._axes(grid, hbar)[1]
+            assert got.tobytes() == grid.momenta(hbar).tobytes()
+        assert gridsim._axes(grid, 0.8)[1] is not p
+        # The cache is not a field: equal grids stay equal and hash alike.
+        fresh = Grid.centered(0.3, 20.0, 2**10)
+        assert fresh == grid and hash(fresh) == hash(grid) and repr(fresh) == repr(grid)
+
+    def test_threads_sharing_a_grid_get_their_own_hbars_momenta(self):
+        grid = Grid.centered(0.0, 10.0, 2**6)
+        want = {hbar: grid.momenta(hbar).tobytes() for hbar in (0.5, 2.0)}
+        wrong = []
+
+        def work(hbar):
+            for _ in range(50000):
+                if gridsim._axes(grid, hbar)[1].tobytes() != want[hbar]:
+                    wrong.append(hbar)
+                    return
+
+        threads = [threading.Thread(target=work, args=(hbar,)) for hbar in (0.5, 2.0) * 2]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert wrong == []
 
 
 class TestWavefnCsv:

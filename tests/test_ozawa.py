@@ -39,6 +39,7 @@ from quvar import (
     system_marginal,
 )
 from quvar import ozawa
+from quvar.cli import main
 
 SQRT3 = math.sqrt(3.0)
 REFERENCE_CONFIG = Path(__file__).resolve().parent.parent / "configs" / "ozawa_reference.json"
@@ -781,19 +782,43 @@ def test_an_overflowing_mean_fails_as_in_the_public_call_loop(case, mode):
         assert got[1] == f"invalid posterior state: {want[1]}"
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered in matmul:RuntimeWarning")
-def test_a_mean_the_free_flow_overflows_fails_the_next_rounds_system_check():
+def free_flow_overflow_config(n):
     # With m = 100 the free flow over T - tau overflows <p> at the end of
     # round 131, a round that reuses its covariance step (the covariance
-    # settles by round 36). evolve names it in that round; run_protocol's
-    # per-round mean check hands the next round's state to the full check.
-    cfg = base_config(N=300, T=0.02, k=TRANSFER_KTAU / 0.01 * 0.5,
-                      **dict(SYSTEMS["osc"], system=Oscillator(m=100.0, omega=0.8),
-                             initial_system=contractive(1.0, 2.0, mean_x=1e300)))
+    # settles by round 36).
+    return base_config(N=n, T=0.02, k=TRANSFER_KTAU / 0.01 * 0.5,
+                       **dict(SYSTEMS["osc"], system=Oscillator(m=100.0, omega=0.8),
+                              initial_system=contractive(1.0, 2.0, mean_x=1e300)))
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered in matmul:RuntimeWarning")
+def test_a_mean_the_free_flow_overflows_fails_the_next_rounds_system_check():
+    # evolve names the overflow in round 131; run_protocol's per-round mean
+    # check hands the next round's state to the full check, so a run with a
+    # round 132 fails there, whatever its N.
+    cfg = free_flow_overflow_config(300)
     assert first_error(reference_trace, cfg)[0] == 131
-    assert first_error(run_protocol, cfg) == (
-        132, "invalid system state: mean_p must be finite, got -inf"
-    )
+    for n in (132, 300):
+        with pytest.raises(ValueError) as err:
+            run_protocol(dataclasses.replace(cfg, N=n))
+        assert str(err.value) == "invalid system state: mean_p must be finite, got -inf"
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_a_mean_the_free_flow_overflows_in_the_last_round_fails_that_round(capsys, tmp_path):
+    # At N = 131 no next round checks the overflowed mean: the run checks its
+    # last evolved mean itself, and no numpy warning escapes on the way.
+    cfg = free_flow_overflow_config(131)
+    want = "round 131: posterior mean overflows over T - tau = 0.01"
+    with pytest.raises(ValueError) as err:
+        run_protocol(cfg)
+    assert str(err.value) == want
+    path = tmp_path / "overflow.json"
+    path.write_text(json.dumps(cfg.to_dict()))
+    assert main(["ozawa", "--config", str(path)]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.endswith(f"relative; position transfer is no longer exact\nprotocol failed: {want}\n")
 
 
 def test_sample_mode_readings_are_standard_normal_deviates():
