@@ -1,6 +1,8 @@
 import io
 import json
 import math
+import os
+import sys
 import warnings
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
@@ -9,7 +11,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from quvar import OzawaConfig, run_protocol
+from quvar import OzawaConfig, _fanout, cli, run_protocol
 from quvar.cli import main
 
 SQRT3 = math.sqrt(3.0)
@@ -89,6 +91,45 @@ class TestBounds:
         _, out1, _ = run_cli(capsys, "bounds", "--steps", "11")
         _, out2, _ = run_cli(capsys, "bounds", "--steps", "11")
         assert out1 == out2
+
+    @pytest.mark.skipif(
+        not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")),
+        reason="the CSV chunks fan out only where os.fork and os.sched_getaffinity exist",
+    )
+    @pytest.mark.parametrize("system", ["free", "osc"])
+    def test_a_fanned_out_table_equals_the_serial_one(self, capsys, monkeypatch, system):
+        argv = ["bounds", "--system", system, "--m", "1.3", "--omega", "0.7", "--hbar", "0.9",
+                "--vxx0", "1.1", "--vpp0", "0.8", "--t-max", "3", "--steps", "100000"]
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        fanned = []
+        real = _fanout._fanned
+        monkeypatch.setattr(_fanout, "_fanned", lambda *args: fanned.append(args) or real(*args))
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, err) == (0, "") and len(fanned) == 1
+        monkeypatch.setattr(cli, "_FANOUT_ROWS", math.inf)
+        assert run_cli(capsys, *argv) == (0, out, "")
+        assert len(fanned) == 1 and out.count("\n") == 100002
+
+    @pytest.mark.skipif(
+        not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")),
+        reason="the CSV chunks fan out only where os.fork and os.sched_getaffinity exist",
+    )
+    def test_a_closed_pipe_leaves_no_worker_behind(self, monkeypatch):
+        class ClosedAfterTheHeader(io.StringIO):
+            def write(self, text):
+                if self.tell():
+                    raise BrokenPipeError(32, "Broken pipe")
+                return super().write(text)
+
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
+        monkeypatch.setattr(sys, "stdout", ClosedAfterTheHeader())
+        with pytest.raises(BrokenPipeError) as err:
+            main(["bounds", "--steps", "100000"])
+        assert sys.stdout.getvalue() == "t,lower,upper,sql_line\n"
+        # The traceback keeps the CSV generator's frame alive; the workers are gone anyway.
+        assert err.traceback
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
 
     def test_negative_dimensionless_omega_names_omega(self, capsys):
         # The model is built before the first row, so the error names omega

@@ -103,6 +103,15 @@ CASES = {
          "--t-max=2.206199557044113", "--steps=7", "--n=65536", "--tolerance=1e-08"],
         0,
     ),
+    # The same argv with 32 times: enough grid work that the oracle fans its
+    # times out over worker processes where more than one CPU is usable.
+    "oracle_free_n65536_t32": (
+        ["oracle", "--system=free", "--m=1.2083325301055932", "--hbar=1.4183559324628505",
+         "--vxx0=1.6485384515843449", "--vpp0=1.139036920091471", "--sign=+",
+         "--mean-x=0.8714415248132366", "--mean-p=0.04609835559017328",
+         "--t-max=2.206199557044113", "--steps=31", "--n=65536", "--tolerance=1e-08"],
+        0,
+    ),
     "oracle_tolerance_fail":(["oracle", "--n", "1024", "--tolerance", "1e-17"], 1),
     "oracle_grid_too_coarse": (["oracle", "--n", "64"], 1),
     "ozawa_reference": (["ozawa", "--config", str(CONFIGS / "ozawa_reference.json")], 0),

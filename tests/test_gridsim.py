@@ -1,4 +1,5 @@
 import math
+import os
 import sys
 import threading
 
@@ -30,7 +31,7 @@ from quvar import (
     verify_bounds_oracle,
     wavefn_csv,
 )
-from quvar import gridsim
+from quvar import _fanout, gridsim
 from quvar.bounds import envelope
 from quvar.gridsim import OracleRow, joint_moments, sample_joint
 from split_step import propagate_osc
@@ -390,6 +391,33 @@ class TestOracleBitIdentity:
         spec = ExtremalSpec.from_variances(0.9, 1.1, model._hbar(hbar), 1)
         verify_bounds_oracle(spec, model, times, hbar=hbar, n=1024)
         assert len(calls) == 1
+
+    @pytest.mark.skipif(
+        not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")),
+        reason="the oracle fans out only where os.fork and os.sched_getaffinity exist",
+    )
+    @pytest.mark.parametrize("cpus", [2, 3])
+    def test_fanned_out_times_equal_the_serial_run(self, monkeypatch, cpus):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+        fanned = []
+        real = _fanout._fanned
+        monkeypatch.setattr(_fanout, "_fanned", lambda *args: fanned.append(args) or real(*args))
+        runs = {}
+        for points in (math.inf, 0):  # serial, then fanned out
+            monkeypatch.setattr(gridsim, "_FANOUT_POINTS", points)
+            for model, hbar, times in ORACLE_CASES:
+                spec = ExtremalSpec.from_variances(0.9, 1.1, model._hbar(hbar), -1)
+                report = verify_bounds_oracle(spec, model, times, hbar=hbar, n=1024)
+                runs.setdefault(points, []).append(report.rows)
+            # The free mass outgrows a 7σ domain at t = 4, item 5: a worker's.
+            spec = ExtremalSpec.from_variances(1.0, 1.0, 1.0, -1)
+            times = [0.2, 0.5, 1.0, 2.0, 0.1, 4.0, 0.3]
+            with pytest.raises(AliasingError) as err:
+                verify_bounds_oracle(spec, FreeMass(m=1.0), times, n=1024, domain_sigmas=7.0)
+            runs[points].append(str(err.value))
+        assert len(fanned) == len(ORACLE_CASES) + 1
+        assert runs[0] == runs[math.inf]
+        assert runs[0][-1].startswith("spreading exceeds domain: mean_x ± 8σ")
 
     def test_input_checks_run_only_where_a_propagator_runs(self):
         # At ⟨X⟩ = 30 the chirped intermediate outruns dx; t = 0 of the
