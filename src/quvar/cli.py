@@ -8,9 +8,10 @@ Subcommands::
     quvar ozawa     repeated-measurement protocol trace as CSV
 
 Exit codes: 0 success, 1 verification/tolerance failure, 2 usage or config
-error. Floats are printed with 17 significant digits so every emitted value
-re-parses to the identical double. Identical invocations produce
-byte-identical output.
+error, 141 (128 + SIGPIPE) with nothing on stderr when the reader closes
+stdout early, as `quvar bounds | head` does. Floats are printed with 17
+significant digits so every emitted value re-parses to the identical
+double. Identical invocations produce byte-identical output.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 from collections.abc import Iterable, Iterator
 from contextlib import closing
@@ -40,6 +42,7 @@ from .ozawa import ConfigError, OzawaConfig, check_regime, run_protocol
 EXIT_OK = 0
 EXIT_VERIFY = 1
 EXIT_USAGE = 2
+EXIT_PIPE = 141  # 128 + SIGPIPE, what a shell reports for a process the signal killed
 
 # Table rows from which `quvar bounds` formats its CSV chunks in worker
 # processes (32 chunks). On a 2-vCPU VM, 32,769 rows ran 1.28-1.65x faster
@@ -335,7 +338,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        code = args.func(args)
+        sys.stdout.flush()
+    except BrokenPipeError:  # the reader is gone; _cmd_bounds' closing() reaped any workers
+        # stdout now writes to devnull, so the flush at exit cannot raise again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_PIPE
+    return code
 
 
 if __name__ == "__main__":

@@ -33,10 +33,11 @@ import contextlib
 import math
 import struct
 from dataclasses import asdict, dataclass, fields
-from typing import Iterator, Optional
+from typing import Optional
 
 import numpy as np
 
+from ._trace import ProtocolTrace, Records, StepRecord
 from .bounds import contraction_phase_osc, contraction_time_free, sqrt_uncertainty_excess
 from .gaussian import (
     DimensionlessOscillator,
@@ -386,54 +387,18 @@ def check_regime(config: OzawaConfig) -> list[str]:
     return warnings
 
 
-@dataclass(frozen=True)
-class StepRecord:
-    """One measurement: state before coupling, reading, state after collapse."""
-
-    index: int
-    time: float
-    y_reading: float
-    pre: GaussianState
-    post: GaussianState
-    meter: GaussianState
-
-
-@dataclass(frozen=True)
-class ProtocolTrace:
-    """Per-measurement records of a protocol run."""
-
-    steps: tuple[StepRecord, ...]
-
-    def csv_lines(self) -> Iterator[str]:
-        """The trace CSV one newline-terminated line at a time: the header,
-        then one row per measurement with floats at 17 significant digits.
-        The seven covariance cells are formatted again only when their bits
-        differ from the previous row's (a bits compare keeps -0 apart from 0)."""
-        yield "i,t,y_reading,vxx_pre,vxp_pre,vpp_pre,vxx_post,vxp_post,vpp_post,vyy_meter\n"
-        last = None
-        for s in self.steps:
-            pre, post = s.pre, s.post
-            cov = pre.vxx, pre.vxp, pre.vpp, post.vxx, post.vxp, post.vpp, s.meter.vxx
-            bits = struct.pack("7d", *cov)
-            if bits != last:
-                last, cells = bits, "%.17g,%.17g,%.17g,%.17g,%.17g,%.17g,%.17g" % cov
-            yield f"{s.index},{s.time:.17g},{s.y_reading:.17g},{cells}\n"
-
-    def to_csv(self) -> str:
-        return "".join(self.csv_lines())
-
-
 def _covariance_step(cov: tuple, meter: GaussianState, M: np.ndarray, F: np.ndarray,
                      pconf: PhysConfig) -> tuple:
     """The reading-independent half of a round for the pre-measurement
-    covariance (vxx, vpp, vxp): couple's, read_meter's and evolve's covariance
-    arithmetic, with the run's coupling map M and free flow F. It runs inside
-    run_protocol's np.errstate, so an overflow is named rather than warned
-    about. No covariance operation reads a mean, so these are the round's own
-    covariances bit for bit. Returns the cross terms c02, c12, the meter
-    marginal's (vyy, vpp, vyp), the posterior's (vxx, vpp, vxp), the next
-    pre-measurement one and ok, flat: ok is False unless the posterior
-    covariance validates (with any finite means) and the next one is finite."""
+    covariance cov = (vxx, vpp, vxp): couple's, read_meter's and evolve's
+    covariance arithmetic, with the run's coupling map M and free flow F. It
+    runs inside run_protocol's np.errstate, so an overflow is named rather
+    than warned about. No covariance operation reads a mean, so these are
+    the round's own covariances bit for bit. Returns (cov, the posterior's,
+    the meter marginal's, c02, c12, the next pre-measurement covariance,
+    ok), each covariance (vxx, vpp, vxp) and c02, c12 the cross terms: ok
+    is False unless the posterior covariance validates (with any finite
+    means) and the next one is finite."""
     c = _joint_cov(GaussianState(0.0, 0.0, *cov), meter, M).tolist()
     c02, c12, vyy = c[0][2], c[1][2], c[2][2]
     if vyy <= 0:
@@ -445,7 +410,7 @@ def _covariance_step(cov: tuple, meter: GaussianState, M: np.ndarray, F: np.ndar
     n = (F @ q.cov @ F.T).tolist()
     n = n[0][0], n[1][1], 0.5 * (n[0][1] + n[1][0])
     ok = validate_state(q, pconf).ok and all(map(math.isfinite, n))
-    return c02, c12, vyy, c[3][3], c[2][3], *post, *n, ok
+    return cov, post, (vyy, c[3][3], c[2][3]), c02, c12, n, ok
 
 
 def run_protocol(config: OzawaConfig, strict: bool = False) -> ProtocolTrace:
@@ -478,6 +443,9 @@ def run_protocol(config: OzawaConfig, strict: bool = False) -> ProtocolTrace:
     mean that it overflows fails the next round's system check, or after
     the last round ValueError "round N: posterior mean overflows …". The
     loop runs under one np.errstate, so no numpy warning escapes.
+    The loop carries the means as floats and the covariance as its step's
+    tuple, and appends one flat row per round that references its covariance
+    step (see quvar._trace): it builds no GaussianState or StepRecord.
     The result is bit-identical to chaining couple → meter_marginal →
     read_meter → evolve by hand with rng.normal draws.
     ProtocolTrace.csv_lines() streams the trace as CSV row by row, which is
@@ -499,54 +467,50 @@ def run_protocol(config: OzawaConfig, strict: bool = False) -> ProtocolTrace:
     meter = config.meter_state()
     _require_valid("meter", meter, pconf)
     rng = np.random.default_rng(config.seed)  # validates the seed in mean mode too
-    if config.mode == "sample":
+    sample = config.mode == "sample"
+    if sample:
         normals = rng.standard_normal(config.N).tolist()
     steps = {}  # exact bits of a pre-measurement covariance -> its covariance step
-    system = config.initial_system
-    records = []
+    init = config.initial_system
+    mx, mp, cov = init.mean_x, init.mean_p, (init.vxx, init.vpp, init.vxp)
+    rows = []
     # One np.errstate for the whole loop: an overflowing mean or covariance is
     # named by the checks below, never warned about.
     with np.errstate(all="ignore"):
         for i in range(1, config.N + 1):
-            cov = system.vxx, system.vpp, system.vxp
             key = struct.pack("3d", *cov)  # unlike ==, the bits tell -0.0 from 0.0
             step = steps.get(key)
             # A stored covariance has passed this check: only the means can fail it.
-            if step is None or not math.isfinite(system.mean_x + system.mean_p):
-                _require_valid("system", system, pconf)
+            if step is None or not math.isfinite(mx + mp):
+                _require_valid("system", GaussianState(mx, mp, *cov), pconf)
                 step = steps[key] = step or _covariance_step(cov, meter, M, F, pconf)
-            c02, c12, vyy, vpp_y, vyp, pxx, ppp, pxp, nxx, npp, nxp, ok = step
+            _, post, (vyy, _, _), c02, c12, nxt, ok = step
             # The mean step: couple's, read_meter's and evolve's mean arithmetic.
-            mean = (
-                M @ np.array([system.mean_x, system.mean_p, meter.mean_x, meter.mean_p])
-            ).tolist()
-            marginal = GaussianState(mean[2], mean[3], vyy, vpp_y, vyp)
+            mean = (M @ np.array([mx, mp, meter.mean_x, meter.mean_p])).tolist()
             reading = mean[2]
-            if config.mode == "sample":
+            if sample:
                 reading += math.sqrt(vyy) * normals[i - 1]
             if not math.isfinite(reading):
                 raise ValueError(f"y_reading must be finite, got {reading}")
             shift = reading - mean[2]
-            post = GaussianState(
-                mean[0] + c02 * shift / vyy, mean[1] + c12 * shift / vyy, pxx, ppp, pxp
-            )
+            qx, qp = mean[0] + c02 * shift / vyy, mean[1] + c12 * shift / vyy
             if timing_exact:
-                transfer_err = abs(vyy - system.vxx)
-                if transfer_err > 1e-10 * max(1.0, abs(system.vxx)):
+                transfer_err = abs(vyy - cov[0])
+                if transfer_err > 1e-10 * max(1.0, abs(cov[0])):
                     raise RuntimeError(
                         f"variance transfer violated at step {i}: "
                         f"|vyy_meter - vxx_pre| = {transfer_err:.3g}"
                     )
-            records.append(StepRecord(i, (i - 1) * period, reading, system, post, marginal))
-            if not (ok and math.isfinite(post.mean_x + post.mean_p)):
-                _require_valid("posterior", post, pconf)
+            rows.append((i, (i - 1) * period, reading, step, mx, mp, qx, qp, mean[2], mean[3]))
+            if not (ok and math.isfinite(qx + qp)):
+                _require_valid("posterior", GaussianState(qx, qp, *post), pconf)
                 if not ok:  # a valid posterior: the next covariance overflowed
                     raise ValueError(
                         f"round {i}: posterior covariance overflows over T - tau = {wait}"
                     )
-            mean = (F @ np.array([post.mean_x, post.mean_p])).tolist()
-            system = GaussianState(mean[0], mean[1], nxx, npp, nxp)
+            mx, mp = (F @ np.array([qx, qp])).tolist()
+            cov = nxt
     # A round's evolved mean is checked by the next round; the last round's here.
-    if not (math.isfinite(system.mean_x) and math.isfinite(system.mean_p)):
+    if not (math.isfinite(mx) and math.isfinite(mp)):
         raise ValueError(f"round {config.N}: posterior mean overflows over T - tau = {wait}")
-    return ProtocolTrace(steps=tuple(records))
+    return ProtocolTrace(Records(rows))

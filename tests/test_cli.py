@@ -2,6 +2,7 @@ import io
 import json
 import math
 import os
+import subprocess
 import sys
 import warnings
 from contextlib import redirect_stderr, redirect_stdout
@@ -11,6 +12,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import quvar
 from quvar import OzawaConfig, _fanout, cli, run_protocol
 from quvar.cli import main
 
@@ -115,19 +117,15 @@ class TestBounds:
         reason="the CSV chunks fan out only where os.fork and os.sched_getaffinity exist",
     )
     def test_a_closed_pipe_leaves_no_worker_behind(self, monkeypatch):
-        class ClosedAfterTheHeader(io.StringIO):
-            def write(self, text):
-                if self.tell():
-                    raise BrokenPipeError(32, "Broken pipe")
-                return super().write(text)
-
+        # stdout is a pipe whose reader is gone: the first flush raises
+        # BrokenPipeError inside the chunk loop, and main exits with 141.
+        read_end, write_end = os.pipe()
+        os.close(read_end)
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
-        monkeypatch.setattr(sys, "stdout", ClosedAfterTheHeader())
-        with pytest.raises(BrokenPipeError) as err:
-            main(["bounds", "--steps", "100000"])
-        assert sys.stdout.getvalue() == "t,lower,upper,sql_line\n"
-        # The traceback keeps the CSV generator's frame alive; the workers are gone anyway.
-        assert err.traceback
+        with open(write_end, "w") as stdout:
+            monkeypatch.setattr(sys, "stdout", stdout)
+            assert main(["bounds", "--steps", "100000"]) == 141
+            assert os.path.samestat(os.fstat(write_end), os.stat(os.devnull))
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
 
@@ -579,6 +577,37 @@ class TestOzawa:
         path.write_text(json.dumps(raw))
         code, out, got = run_cli(capsys, "ozawa", "--config", str(path))
         assert (code, out, got) == (2, "", f"invalid config: {err}\n")
+
+
+def quvar_process(*argv):
+    """`python -m quvar ARGV` with stdout and stderr on pipes."""
+    src = str(Path(quvar.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    return subprocess.Popen([sys.executable, "-m", "quvar", *argv], env=env,
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+
+
+class TestClosedPipe:
+    """A reader that closes the pipe after one line (`quvar ... | head -1`)
+    ends the run quietly with 141, as a process killed by SIGPIPE would."""
+
+    @pytest.mark.parametrize("argv", [
+        # Fanned out: 100,001 rows is past _FANOUT_ROWS.
+        ["bounds", "--steps", "100000"],
+        # 3,001 report rows, ~190 kB: more than a pipe buffers, so the write fails.
+        ["oracle", "--steps", "3000", "--n", "1024"],
+        ["ozawa", "--config", "{config}"],
+    ], ids=lambda argv: argv[0])
+    def test_exits_141_with_nothing_on_stderr(self, tmp_path, argv):
+        config = tmp_path / "ozawa.json"
+        config.write_text(json.dumps(dict(json.loads(Path(REFERENCE_CONFIG).read_text()), N=10_000)))
+        with quvar_process(*(arg.format(config=config) for arg in argv)) as proc:
+            assert proc.stdout.readline()
+            proc.stdout.close()
+            err = proc.stderr.read()
+        assert (proc.returncode, err) == (141, b"")
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
 
 
 def run_in_process(argv):

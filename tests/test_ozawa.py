@@ -2,6 +2,7 @@ import dataclasses
 import json
 import math
 import struct
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -38,7 +39,7 @@ from quvar import (
     symplectic_defect,
     system_marginal,
 )
-from quvar import ozawa
+from quvar import _trace, ozawa
 from quvar.cli import main
 
 SQRT3 = math.sqrt(3.0)
@@ -668,6 +669,71 @@ class TestRunProtocolBitIdentity:
         for a, b in zip(got.steps, want.steps):
             assert a == b
         assert got.to_csv().encode() == reference_csv(want).encode()
+
+
+class TestTraceRows:
+    """run_protocol's trace holds one flat row per round and builds its
+    StepRecords only when trace.steps is indexed or iterated."""
+
+    CONFIG = dict(N=50, seed=3, **SYSTEMS["osc"])
+
+    def test_len_and_csv_build_no_records(self, monkeypatch):
+        built = []
+
+        def counting_record(*args):
+            built.append(args[0])
+            return StepRecord(*args)
+
+        monkeypatch.setattr(_trace, "StepRecord", counting_record)
+        cfg = base_config(**self.CONFIG)
+        trace = run_protocol(cfg)
+        assert len(trace.steps) == cfg.N
+        assert trace.to_csv() == reference_csv(reference_trace(cfg))
+        assert built == []
+        trace.steps[0]
+        assert built == list(range(1, cfg.N + 1))
+        list(trace.steps), trace.steps[-1]
+        assert len(built) == cfg.N  # built once, then cached
+
+    def test_records_equal_the_public_call_loop(self):
+        cfg = base_config(**self.CONFIG)
+        got, want = run_protocol(cfg).steps, reference_trace(cfg).steps
+        assert got[0] == want[0] and got[-1] == want[-1]
+        assert got[3:40:7] == want[3:40:7]
+        assert list(got) == list(want)
+        for index in (cfg.N, -cfg.N - 1):
+            with pytest.raises(IndexError):
+                got[index]
+
+    def test_traces_compare_by_their_records(self):
+        cfg = base_config(**self.CONFIG)
+        got, want = run_protocol(cfg), reference_trace(cfg)
+        assert got == want and want == got and got == run_protocol(cfg)
+        assert hash(got) == hash(want)
+        assert got != run_protocol(dataclasses.replace(cfg, seed=4))
+
+    def test_a_trace_built_from_records(self):
+        want = reference_trace(base_config(**self.CONFIG))
+        trace = ProtocolTrace(steps=want.steps)
+        assert trace.steps is want.steps
+        assert trace.to_csv() == reference_csv(want)
+
+
+def test_run_protocol_peak_memory():
+    # The rows hold floats and a reference to their round's covariance step:
+    # 10^4 rounds peak at ~3.1 MiB, where a StepRecord and three
+    # GaussianStates per round peaked at ~6.5 MiB (Python 3.11). The short
+    # first run imports numpy.random (~0.6 MiB) outside the traced span.
+    cfg = OzawaConfig.from_dict(dict(json.loads(REFERENCE_CONFIG.read_text()), N=10_000))
+    run_protocol(dataclasses.replace(cfg, N=1))
+    tracemalloc.start()
+    try:
+        trace = run_protocol(cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(trace.steps) == cfg.N
+    assert peak <= 5 * 2**20
 
 
 def spy_covariance_step(monkeypatch):
