@@ -50,46 +50,28 @@ EXIT_PIPE = 141  # 128 + SIGPIPE, what a shell reports for a process the signal 
 _FANOUT_ROWS = 32 * 1024
 
 
-def _fmt(x: float) -> str:
-    return f"{x:.17g}"
-
-
-def _render_json(obj, indent: int = 0) -> str:
-    """JSON text with floats at 17 significant digits (round-trip exact)."""
-    pad = "  " * indent
-    inner = "  " * (indent + 1)
-    if isinstance(obj, dict):
-        if not obj:
-            return "{}"
-        items = [f'{inner}{json.dumps(k)}: {_render_json(v, indent + 1)}' for k, v in obj.items()]
-        return "{\n" + ",\n".join(items) + f"\n{pad}}}"
-    if isinstance(obj, (list, tuple)):
-        if not obj:
-            return "[]"
-        items = [f"{inner}{_render_json(v, indent + 1)}" for v in obj]
-        return "[\n" + ",\n".join(items) + f"\n{pad}]"
-    if isinstance(obj, bool) or obj is None:
-        return json.dumps(obj)
-    if isinstance(obj, int):
-        return str(obj)
-    if isinstance(obj, float):
-        return _fmt(obj)
-    if isinstance(obj, complex):
-        return _render_json({"re": obj.real, "im": obj.imag}, indent)
-    if isinstance(obj, str):
-        return json.dumps(obj)
-    raise TypeError(f"cannot render {obj!r}")
-
-
-def _non_finite(obj, name: str = "") -> Iterator[str]:
-    """"field = value" for each non-finite float of a record, in order (nested fields dotted)."""
+def _render_json(obj, indent: int = 0, name: str = "") -> str:
+    """JSON text of a record of dicts, complexes, floats and strings, with
+    floats at 17 significant digits (round-trip exact). JSON has no inf or
+    nan: the first non-finite float raises ValueError "field = value", its
+    nested field dotted.
+    """
     if isinstance(obj, complex):
         obj = {"re": obj.real, "im": obj.imag}
     if isinstance(obj, dict):
-        for key, value in obj.items():
-            yield from _non_finite(value, f"{name}.{key}" if name else key)
-    elif isinstance(obj, float) and not math.isfinite(obj):
-        yield f"{name} = {obj}"
+        pad = "  " * indent
+        items = [
+            f'{pad}  {json.dumps(k)}: {_render_json(v, indent + 1, f"{name}.{k}" if name else k)}'
+            for k, v in obj.items()
+        ]
+        return "{\n" + ",\n".join(items) + f"\n{pad}}}"
+    if isinstance(obj, float):
+        if not math.isfinite(obj):
+            raise ValueError(f"{name} = {obj}")
+        return f"{obj:.17g}"
+    if isinstance(obj, str):
+        return json.dumps(obj)
+    raise TypeError(f"cannot render {obj!r}")
 
 
 def _write_output(chunks: Iterable[str], path: str | None) -> None:
@@ -199,11 +181,12 @@ def _cmd_extremal(args) -> int:
         **contraction,
         "squeeze": {"r": r, "theta": theta, "alpha": alpha, "beta": beta},
     }
-    bad = next(_non_finite(record), None)
-    if bad is not None:  # JSON has no inf or nan
-        print(f"extremal record is not finite: {bad}", file=sys.stderr)
+    try:
+        text = _render_json(record)
+    except ValueError as exc:
+        print(f"extremal record is not finite: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    _write_output([_render_json(record) + "\n"], args.output)
+    _write_output([text + "\n"], args.output)
     return EXIT_OK
 
 
@@ -342,8 +325,12 @@ def main(argv=None) -> int:
         code = args.func(args)
         sys.stdout.flush()
     except BrokenPipeError:  # the reader is gone; _cmd_bounds' closing() reaped any workers
+        try:
+            fd = sys.stdout.fileno()
+        except ValueError:  # io.UnsupportedOperation: no descriptor (a StringIO), nothing to redirect
+            return EXIT_PIPE
         # stdout now writes to devnull, so the flush at exit cannot raise again.
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        os.dup2(os.open(os.devnull, os.O_WRONLY), fd)
         return EXIT_PIPE
     return code
 

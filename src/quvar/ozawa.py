@@ -423,7 +423,8 @@ def run_protocol(config: OzawaConfig, strict: bool = False) -> ProtocolTrace:
     automatic schedule the pre-measurement position variance at rounds 2..N
     equals the meter preparation variance exactly (up to rounding).
 
-    Regime violations are warnings unless strict, which raises RegimeError.
+    The regime is checked only when strict: then any check_regime warning
+    raises RegimeError. Callers report the warnings, as `quvar ozawa` does.
     The meter-variance transfer identity is asserted at every step whenever
     the timing dose is exact.
 
@@ -451,8 +452,7 @@ def run_protocol(config: OzawaConfig, strict: bool = False) -> ProtocolTrace:
     ProtocolTrace.csv_lines() streams the trace as CSV row by row, which is
     how `quvar ozawa` writes it.
     """
-    warnings = check_regime(config)
-    if strict and warnings:
+    if strict and (warnings := check_regime(config)):
         raise RegimeError("; ".join(warnings))
     pconf = PhysConfig(config.hbar)
     period = config.period()

@@ -412,6 +412,28 @@ class TestOzawa:
         assert code_strict == 1
         assert out_strict == out  # trace still emitted
 
+    @pytest.mark.parametrize("strict", [False, True], ids=["plain", "strict"])
+    def test_regime_warnings_are_computed_once(self, capsys, monkeypatch, strict):
+        # The CLI prints the warnings and decides --strict itself, so the run
+        # computes them once, and the output is the golden trace either way.
+        config = Path(REFERENCE_CONFIG).with_name("ozawa_off_dose.json")
+        golden = Path(__file__).resolve().parent / "golden" / "ozawa_off_dose.txt"
+        real = quvar.ozawa.check_regime
+        warnings = real(OzawaConfig.from_dict(json.loads(config.read_text())))
+        calls = []
+
+        def counting(cfg):
+            calls.append(cfg)
+            return real(cfg)
+
+        monkeypatch.setattr(cli, "check_regime", counting)
+        monkeypatch.setattr(quvar.ozawa, "check_regime", counting)
+        argv = ["ozawa", "--config", str(config)] + (["--strict"] if strict else [])
+        code, out, err = run_cli(capsys, *argv)
+        assert len(calls) == 1
+        assert warnings and err == "".join(f"warning: {w}\n" for w in warnings)
+        assert (code, out) == (1 if strict else 0, golden.read_text())
+
     def test_dimensionless_oscillator_config(self, capsys, tmp_path):
         raw = json.loads(open(REFERENCE_CONFIG).read())
         raw["system"] = {"variant": "dimensionless_oscillator", "omega": 1.0}
@@ -608,6 +630,16 @@ class TestClosedPipe:
         assert (proc.returncode, err) == (141, b"")
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
+
+    def test_a_stdout_without_a_descriptor_exits_141(self, monkeypatch):
+        # In process, stdout may be a StringIO: there is no descriptor to
+        # point at devnull, and main still returns 141.
+        class ClosedStringIO(io.StringIO):
+            def write(self, text):
+                raise BrokenPipeError
+
+        monkeypatch.setattr(sys, "stdout", ClosedStringIO())
+        assert main(["bounds", "--steps", "10"]) == 141
 
 
 def run_in_process(argv):
