@@ -330,7 +330,9 @@ def main(argv=None) -> int:
         except ValueError:  # io.UnsupportedOperation: no descriptor (a StringIO), nothing to redirect
             return EXIT_PIPE
         # stdout now writes to devnull, so the flush at exit cannot raise again.
-        os.dup2(os.open(os.devnull, os.O_WRONLY), fd)
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, fd)
+        os.close(devnull)
         return EXIT_PIPE
     return code
 

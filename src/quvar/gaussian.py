@@ -97,29 +97,28 @@ class FreeMass:
 class _Rotation:
     """Oscillator flow: rotation by θ = ωt of (x, p/s), s = self._scale = mω."""
 
-    def _phase(self, ts: list[float]) -> list[float]:
-        """Overwrite each t with ωt, checked: math.cos of an overflowed phase only
-        says "math domain error". In place: a table's t list can hold 10⁵ floats."""
-        for i, t in enumerate(ts):
-            ts[i] = th = self.omega * t
-            if not math.isfinite(th):
-                raise ValueError(f"phase omega*t is not finite at t = {t}")
-        return ts
+    def _phase(self, t: float | np.ndarray) -> np.ndarray:
+        """ωt as a 1-D array, checked: cos(±inf) is only NaN or "math domain error"."""
+        ts = np.atleast_1d(np.asarray(t, dtype=float))
+        with np.errstate(all="ignore"):
+            th = self.omega * ts
+        if not np.isfinite(th).all():
+            raise ValueError(f"phase omega*t is not finite at t = {ts[~np.isfinite(th)][0]}")
+        return th
 
     def _flow(self, t: float) -> np.ndarray:
-        (th,), mw = self._phase([float(t)]), self._scale
+        (th,), mw = self._phase(t), self._scale
         c, s = math.cos(th), math.sin(th)
         return np.array([[c, s / mw], [-mw * s, c]])
 
     def _x_row(self, t: float | np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        th = self._phase(np.atleast_1d(t).tolist())
-        mw, n = self._scale, len(th)
-        # libm and Python's ** per element: numpy's a ** 2 is a*a, which rounds
-        # unlike pow on ~0.09 % of doubles, and the table's bytes would change.
-        cos2 = np.fromiter((math.cos(x) ** 2 for x in th), float, n)
-        sin2 = np.fromiter((math.sin(x) ** 2 for x in th), float, n)
-        sin2th = np.fromiter((math.sin(2.0 * x) for x in th), float, n)
-        return cos2, sin2 / mw**2, sin2th / (2.0 * mw)
+        th, mw = self._phase(t), self._scale
+        # Squares by libm pow, as Python's ** squares: numpy's a ** 2 is a*a, which rounds
+        # unlike pow on ~0.09 % of doubles. float_power calls pow for an array exponent.
+        two = np.full(th.shape, 2.0)
+        cos2 = np.float_power(np.cos(th), two)
+        sin2 = np.float_power(np.sin(th), two)
+        return cos2, sin2 / mw**2, np.sin(2.0 * th) / (2.0 * mw)
 
     def _hbar(self, hbar: float) -> float:
         return hbar

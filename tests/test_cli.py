@@ -129,6 +129,18 @@ class TestBounds:
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
 
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="counts /proc/self/fd")
+    def test_a_closed_pipe_leaks_no_descriptor(self, monkeypatch):
+        # main points stdout's descriptor at devnull and closes the one it opened.
+        before = len(os.listdir("/proc/self/fd"))
+        for _ in range(3):
+            read_end, write_end = os.pipe()
+            os.close(read_end)
+            with open(write_end, "w") as stdout:
+                monkeypatch.setattr(sys, "stdout", stdout)
+                assert main(["bounds", "--steps", "10"]) == 141
+        assert len(os.listdir("/proc/self/fd")) == before
+
     def test_negative_dimensionless_omega_names_omega(self, capsys):
         # The model is built before the first row, so the error names omega
         # rather than the phase omega*t it would produce.

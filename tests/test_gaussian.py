@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -245,3 +246,39 @@ class TestNonFiniteMoments:
         assert f"{field} must be finite, got {value}" in report.violations
         with pytest.raises(StateValidationError, match=f"{field} must be finite"):
             evolve(state, FreeMass(m=1.0), 0.5)
+
+
+class TestOscillatorXRow:
+    """The oscillator x-row is whole-array numpy. Its bytes rest on numpy's cos,
+    sin and float_power agreeing with libm and Python's ** on the platform."""
+
+    def test_equals_libm_and_python_pow_elementwise(self):
+        rng = np.random.default_rng(16)
+        n = 10**6 // 4
+        th = np.concatenate([rng.uniform(0.0, 10.0, n), rng.uniform(0.0, 1e8, n),
+                             rng.uniform(-1e15, 1e15, 2 * n)])
+        mw = 1.3
+        cxx, cpp, cxp = Oscillator(m=mw, omega=1.0)._x_row(th)  # phase 1.0 * t is t
+        for i in range(0, len(th), 10**5):
+            chunk = slice(i, i + 10**5)
+            xs = th[chunk].tolist()
+            np.testing.assert_array_equal(cxx[chunk], [math.cos(x) ** 2 for x in xs])
+            np.testing.assert_array_equal(cpp[chunk], [math.sin(x) ** 2 / mw**2 for x in xs])
+            np.testing.assert_array_equal(cxp[chunk], [math.sin(2.0 * x) / (2.0 * mw) for x in xs])
+        # Squaring rounds unlike pow on these phases, so a switch to c*c fails above.
+        c, s = np.cos(th), np.sin(th)
+        assert np.count_nonzero(c * c != cxx) >= 100
+        assert np.count_nonzero(s * s / mw**2 != cpp) >= 100
+
+    def test_peak_memory(self):
+        # tracemalloc peak on Python 3.11.7 / numpy 2.4.6: the per-element loop,
+        # with its Python float lists and three fromiter arrays alive at once,
+        # peaked at 6.86 MiB; the whole-array row peaks at 5.34 MiB.
+        model, t = Oscillator(1.3, 0.8), np.linspace(0.0, 10.0, 10**5 + 1)
+        tracemalloc.start()
+        try:
+            model._x_row(t)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 5.5 * 2**20, peak / 2**20
