@@ -83,8 +83,8 @@ def _write_output(chunks: Iterable[str], path: str | None) -> None:
             fh.writelines(chunks)
 
 
-def _csv_chunks(header: str, row: str, table: np.ndarray, size: int = 1024) -> Iterator[str]:
-    """The header, then the table's rows in %-formatted chunks of size rows.
+def _csv_chunks(header: str, row: str, table: np.ndarray) -> Iterator[str]:
+    """The header, then the table's rows in %-formatted chunks of 1024 rows.
 
     A table of at least _FANOUT_ROWS rows formats its chunks in forked
     workers (quvar._fanout, Linux): the same code on the same rows, so the
@@ -93,11 +93,11 @@ def _csv_chunks(header: str, row: str, table: np.ndarray, size: int = 1024) -> I
     """
 
     def chunk(i: int) -> str:
-        block = table[i : i + size]
+        block = table[i : i + 1024]
         return (row * len(block)) % tuple(block.ravel().tolist())
 
     yield header
-    yield from fanout(chunk, range(0, len(table), size), len(table) >= _FANOUT_ROWS)
+    yield from fanout(chunk, range(0, len(table), 1024), len(table) >= _FANOUT_ROWS)
 
 
 def _sign_value(sign: str) -> int:

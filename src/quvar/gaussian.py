@@ -257,9 +257,7 @@ def validate_state(state: GaussianState, config: PhysConfig = PhysConfig()) -> V
 
 
 def _require_valid(state: GaussianState, model: SystemModel, config: PhysConfig) -> None:
-    hbar = model._hbar(config.hbar)
-    # Reuse config when the model keeps its ħ rather than allocate a PhysConfig per call.
-    report = validate_state(state, config if hbar == config.hbar else PhysConfig(hbar))
+    report = validate_state(state, PhysConfig(model._hbar(config.hbar)))
     if not report.ok:
         raise StateValidationError("; ".join(report.violations))
 

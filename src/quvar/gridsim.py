@@ -309,13 +309,10 @@ def _checked(out: WaveFn) -> WaveFn:
     return out
 
 
-class _Spectrum(WaveFn):
-    """ψ in momentum representation: amps = FFT(ψ.amps), in FFT order."""
-
-
-def _free(spec: _Spectrum, m: float, t: float) -> WaveFn:
-    """One phase multiply and one ifft. The product is φ·e into a fresh array,
-    never e·φ: complex multiplication does not commute bit for bit."""
+def _free(spec: WaveFn, m: float, t: float) -> WaveFn:
+    """One phase multiply and one ifft of spec.amps = FFT(ψ), in FFT order.
+    The product is φ·e into a fresh array, never e·φ: complex multiplication
+    does not commute bit for bit."""
     p = _axes(spec.grid, spec.hbar)[1]
     e = np.exp(-1j * p * p * t / (2.0 * m * spec.hbar))
     return WaveFn(grid=spec.grid, amps=np.fft.ifft(spec.amps * e), hbar=spec.hbar)
@@ -331,7 +328,7 @@ def propagate_free(psi: WaveFn, m: float, t: float) -> WaveFn:
     if not m > 0:
         raise ValueError(f"m must be > 0, got {m}")
     _check_input(psi)
-    return _checked(_free(_Spectrum(psi.grid, np.fft.fft(psi.amps), psi.hbar), m, t))
+    return _checked(_free(WaveFn(psi.grid, np.fft.fft(psi.amps), psi.hbar), m, t))
 
 
 def _chirp_kick_chirp(psi: WaveFn, chirp: np.ndarray, kick: np.ndarray, n_steps: int) -> WaveFn:
@@ -374,8 +371,8 @@ def propagate_osc_exact(psi: WaveFn, m: float, omega: float, t: float) -> WaveFn
 
 
 def _route(model: SystemModel, t: float):
-    """(core, args): _propagate runs core(src, *args), src being ψ, or ψ's
-    _Spectrum for _free; core None copies ψ."""
+    """(core, args): _propagate runs core(src, *args), src being ψ, or FFT(ψ)
+    for _free; core None returns src itself."""
     if isinstance(model, FreeMass):
         return _free, (model.m, t)
     if isinstance(model, DimensionlessOscillator):
@@ -389,9 +386,7 @@ def _route(model: SystemModel, t: float):
 def _propagate(src: WaveFn, model: SystemModel, t: float) -> WaveFn:
     """Unchecked: the oracle runs the input checks once and the result check per time."""
     core, args = _route(model, t)
-    if core is None:
-        return WaveFn(grid=src.grid, amps=src.amps.copy(), hbar=src.hbar)
-    return core(src, *args)
+    return src if core is None else core(src, *args)
 
 
 def _spec_from_state(state: GaussianState, hbar: float) -> ExtremalSpec:
@@ -506,7 +501,7 @@ def verify_bounds_oracle(
     if core is not None:
         _check_input(src, args[0] * args[1] if core is _exact else None)
     if core is _free:  # transform ψ0 once, and let its amplitudes go
-        src = _Spectrum(grid, np.fft.fft(src.amps), hbar)
+        src = WaveFn(grid, np.fft.fft(src.amps), hbar)
 
     def row(item):  # (t, moment_dev, envelope_dev) as floats, which cross a worker's pipe
         t, env = item
