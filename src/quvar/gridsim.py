@@ -344,6 +344,9 @@ def _chirp_kick_chirp(psi: WaveFn, chirp: np.ndarray, kick: np.ndarray, n_steps:
 
 def _exact(psi: WaveFn, m: float, omega: float, t: float) -> WaveFn:
     theta = math.remainder(omega * t, 2.0 * math.pi)
+    # The double 2π is 2.449e-16 short of 2π: take that off per turn removed.
+    n = round((omega * t - theta) / (2.0 * math.pi))
+    theta = math.remainder(theta - n * 2.4492935982947064e-16, 2.0 * math.pi)
     k = max(1, math.ceil(abs(theta) / (0.5 * math.pi)))
     theta_k = theta / k
     mw = m * omega

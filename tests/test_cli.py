@@ -298,6 +298,15 @@ class TestOracle:
         _, rows = parse_csv("\n".join(out.strip().splitlines()[:-1]))
         assert float(rows[0][1]) < 1e-12
 
+    def test_oscillator_phase_is_reduced_by_the_true_two_pi(self, capsys):
+        # The double 2π is 2.449e-16 short of 2π. Reduced by it alone, ωt = 1e10
+        # lands 3.9e-7 off and the moments deviate by 5.75e-7.
+        argv = ["oracle", "--system", "osc", "--m", "1", "--omega", "1", "--times", "1e10"]
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0 and out.endswith(": OK\n")
+        _, rows = parse_csv("\n".join(out.strip().splitlines()[:-1]))
+        assert float(rows[0][1]) < 1e-14
+
     def test_invalid_parameters_exit_2(self, capsys):
         code, _, err = run_cli(capsys, "oracle", "--vxx0", "0.1", "--vpp0", "0.1")
         assert code == 2
