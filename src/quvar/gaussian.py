@@ -310,8 +310,15 @@ def variance_x_closed_form(
     Dimensionless:  the oscillator with mω = 1
 
     Redundant with evolve(...).vxx (agrees to ~1e−12 relative); kept as an
-    independent cross-check path.
+    independent cross-check path. Raises a ValueError naming t, as evolve
+    does, if t or the variance is not finite.
     """
     _require_valid(state, model, config)
-    cxx, cpp, cxp = model._x_row(t)
-    return float((cxx * state.vxx + cpp * state.vpp + 2.0 * cxp * state.vxp)[0])
+    if not math.isfinite(t):
+        raise ValueError(f"t must be finite, got {t}")
+    with np.errstate(all="ignore"):  # an overflow is named below, not warned about
+        cxx, cpp, cxp = model._x_row(t)
+        v = float((cxx * state.vxx + cpp * state.vpp + 2.0 * cxp * state.vxp)[0])
+    if not math.isfinite(v):
+        raise ValueError(f"variance is not finite at t = {t}: {v}")
+    return v

@@ -205,6 +205,22 @@ class TestClosedForm:
         got = variance_x_closed_form(s, DimensionlessOscillator(omega=1.0), math.pi / 4.0)
         assert got == pytest.approx(1.0, rel=1e-14)
 
+    @pytest.mark.parametrize(
+        "model, t, message",
+        [
+            (FreeMass(1.0), math.inf, "t must be finite, got inf"),
+            # (t/m)² overflows.
+            (FreeMass(1.0), 1e308, "variance is not finite at t = 1e[+]308: nan"),
+            # ωt is finite but 2ωt overflows, so sin 2ωt is nan.
+            (DimensionlessOscillator(1.0), 2.0**1023,
+             "variance is not finite at t = 8.98846567431158e[+]307: nan"),
+        ],
+    )
+    def test_nonfinite_time_or_variance_name_t(self, model, t, message):
+        # These returned nan with RuntimeWarnings (errors here), where evolve raises.
+        with pytest.raises(ValueError, match=message):
+            variance_x_closed_form(GaussianState(), model, t)
+
     @given(valid_states(), models, st.floats(-10.0, 10.0))
     def test_agrees_with_evolve(self, s, model, t):
         direct = variance_x_closed_form(s, model, t)

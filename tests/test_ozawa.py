@@ -887,6 +887,24 @@ def test_a_mean_the_free_flow_overflows_in_the_last_round_fails_that_round(capsy
     assert err.endswith(f"relative; position transfer is no longer exact\nprotocol failed: {want}\n")
 
 
+def test_a_meter_variance_leaking_through_the_dose_fails_the_transfer_check(capsys, tmp_path):
+    # At the transfer dose the meter's vyy0 drops out of vyy only up to the
+    # rounding of the coupling map: at vyy0 = 1e24 that leak is 1.2e-8 > 1e-10.
+    raw = json.loads(REFERENCE_CONFIG.read_text())
+    raw["meter_variances"]["vyy0"] = 1e24
+    want = "variance transfer violated at step 1: |vyy_meter - vxx_pre| = 1.23e-08"
+    with pytest.raises(RuntimeError) as err:
+        run_protocol(OzawaConfig.from_dict(raw))
+    assert str(err.value) == want
+    path = tmp_path / "leaky_meter.json"
+    path.write_text(json.dumps(raw))
+    assert main(["ozawa", "--config", str(path)]) == 1
+    assert capsys.readouterr() == ("", f"protocol failed: {want}\n")
+    # Three decades lower the leak is 1.2e-11, under the bound.
+    raw["meter_variances"]["vyy0"] = 1e21
+    assert len(run_protocol(OzawaConfig.from_dict(raw)).steps) == 3
+
+
 def test_sample_mode_readings_are_standard_normal_deviates():
     # Seed fixed before the first run and never tuned. At the exact dose the
     # readings must be independent draws from the meter marginal, so the
