@@ -4,10 +4,11 @@ first use, so only commands that build a protocol config compile it."""
 
 from __future__ import annotations
 
-import functools
+import json
 import numbers
 import operator
 import sys
+from importlib import resources
 from typing import Optional
 
 from .ozawa import ConfigError
@@ -17,13 +18,8 @@ _TYPES = {"object": (dict, "an object"), "null": (type(None), "null"),
 _BOUNDS = (("minimum", ">=", operator.lt), ("exclusiveMinimum", ">", operator.le),
            ("maximum", "<=", operator.gt))
 
-
-@functools.cache
-def config_schema() -> dict:
-    """The config schema shipped beside this module, read on first use."""
-    import json
-    from importlib import resources
-    return json.loads((resources.files(__package__) / "ozawa_config.schema.json").read_text())
+# The config schema shipped beside this module, read when quvar.ozawa first imports it.
+SCHEMA = json.loads((resources.files(__package__) / "ozawa_config.schema.json").read_text())
 
 
 def _error(value, schema: dict, label: str) -> Optional[ConfigError]:

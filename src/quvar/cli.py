@@ -200,10 +200,6 @@ def _cmd_oracle(args) -> int:
         else:
             times = _time_grid(args)
         spec = ExtremalSpec.from_variances(args.vxx0, args.vpp0, hbar, sign)
-    except ValueError as exc:
-        print(str(exc), file=sys.stderr)
-        return EXIT_USAGE
-    try:
         report = verify_bounds_oracle(
             spec,
             model,

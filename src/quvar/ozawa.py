@@ -234,9 +234,9 @@ def _check(raw: dict) -> None:
     """Check a config's JSON object against ozawa_config.schema.json. The
     checker is imported on first use: commands that build no config never
     compile it."""
-    from ._schema import check, config_schema
+    from ._schema import SCHEMA, check
 
-    check(raw, config_schema())
+    check(raw, SCHEMA)
 
 
 @dataclass(frozen=True)
@@ -466,10 +466,9 @@ def run_protocol(config: OzawaConfig, strict: bool = False) -> ProtocolTrace:
     F = config.system._flow(wait)
     meter = config.meter_state()
     _require_valid("meter", meter, pconf)
-    rng = np.random.default_rng(config.seed)  # validates the seed in mean mode too
     sample = config.mode == "sample"
     if sample:
-        normals = rng.standard_normal(config.N).tolist()
+        normals = np.random.default_rng(config.seed).standard_normal(config.N).tolist()
     steps = {}  # exact bits of a pre-measurement covariance -> its covariance step
     init = config.initial_system
     mx, mp, cov = init.mean_x, init.mean_p, (init.vxx, init.vpp, init.vxp)

@@ -663,6 +663,21 @@ class TestClosedPipe:
         assert main(["bounds", "--steps", "10"]) == 141
 
 
+@pytest.mark.parametrize("mode, imported", [("mean", False), ("sample", True)])
+def test_only_a_sample_mode_run_imports_numpy_random(tmp_path, mode, imported):
+    # A mean-mode run draws nothing, so a fresh interpreter never loads the generator.
+    config = tmp_path / "ozawa.json"
+    config.write_text(json.dumps(dict(json.loads(Path(REFERENCE_CONFIG).read_text()), mode=mode)))
+    script = ("import contextlib, io, sys\nfrom quvar.cli import main\n"
+              "with contextlib.redirect_stdout(io.StringIO()):\n    code = main(sys.argv[1:])\n"
+              "print(code, 'numpy.random' in sys.modules)")
+    src = str(Path(quvar.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", script, "ozawa", "--config", str(config)],
+                          env=env, capture_output=True, text=True)
+    assert (proc.stdout, proc.stderr) == (f"0 {imported}\n", "")
+
+
 def run_in_process(argv):
     """main(argv) with stdout and stderr captured; any exception propagates."""
     out, err = io.StringIO(), io.StringIO()
