@@ -55,13 +55,18 @@ def sqrt_uncertainty_excess(vxx0: float, vpp0: float, hbar: float = 1.0) -> floa
     Arguments within −1e−12·max(ħ², 4·vxx0·vpp0) of zero are clamped to 0 so
     that exactly-saturating inputs built in floating point pass; anything
     more negative is an invalid uncertainty product and raises, as do a
-    non-positive variance and a non-positive or NaN ħ.
+    non-positive variance, a non-positive or NaN ħ, and 4·vxx0·vpp0 and ħ²
+    that both overflow (their difference would be inf − inf = NaN).
     """
     if not vxx0 > 0 or not vpp0 > 0:
         raise ValueError(f"variances must be positive, got vxx0={vxx0}, vpp0={vpp0}")
     if not hbar > 0:
         raise ValueError(f"hbar must be > 0, got {hbar}")
     arg = 4.0 * vxx0 * vpp0 - hbar * hbar
+    if math.isnan(arg):
+        raise ValueError(
+            f"4*vxx0*vpp0 and hbar^2 both overflow: vxx0 = {vxx0}, vpp0 = {vpp0}, hbar = {hbar}"
+        )
     tol = 1e-12 * max(hbar * hbar, 4.0 * vxx0 * vpp0)
     if arg < -tol or arg == -math.inf:  # -inf: ħ² overflowed, and tol with it
         raise ValueError(
@@ -129,11 +134,16 @@ def contraction_time_free(vxx0: float, vpp0: float, m: float, hbar: float) -> fl
 
     t_M = (m/vpp0)·√(4·vxx0·vpp0 − ħ²); zero at minimum uncertainty. On the
     lower envelope σ²(X(t_M)) returns exactly to vxx0, with the global
-    minimum ħ²/(4·vpp0) reached at t_M/2.
+    minimum ħ²/(4·vpp0) reached at t_M/2. A product 0·inf, where m/vpp0
+    or the square root over- or underflows, raises ValueError.
     """
     if not m > 0:
         raise ValueError(f"m must be > 0, got {m}")
-    return m / vpp0 * sqrt_uncertainty_excess(vxx0, vpp0, hbar)
+    s = sqrt_uncertainty_excess(vxx0, vpp0, hbar)
+    t_m = m / vpp0 * s
+    if math.isnan(t_m):
+        raise ValueError(f"t_M = (m/vpp0)*sqrt(4*vxx0*vpp0 - hbar^2) is {m / vpp0} * {s}")
+    return t_m
 
 
 def free_mass_lower_alt_forms(

@@ -8,8 +8,9 @@ Subcommands::
     quvar ozawa     repeated-measurement protocol trace as CSV
 
 Exit codes: 0 success, 1 verification/tolerance failure, 2 usage or config
-error, 141 (128 + SIGPIPE) with nothing on stderr when the reader closes
-stdout early, as `quvar bounds | head` does. Floats are printed with 17
+error (an --output or --dump-psi path that cannot be written among them),
+141 (128 + SIGPIPE) with nothing on stderr when the reader closes stdout
+early, as `quvar bounds | head` does. Floats are printed with 17
 significant digits so every emitted value re-parses to the identical
 double. Identical invocations produce byte-identical output.
 """
@@ -74,13 +75,21 @@ def _render_json(obj, indent: int = 0, name: str = "") -> str:
     raise TypeError(f"cannot render {obj!r}")
 
 
+class _Unwritable(Exception):
+    """An --output or --dump-psi path that cannot be opened: main exits 2."""
+
+
 def _write_output(chunks: Iterable[str], path: str | None) -> None:
     """Write the chunks in order to stdout, or to the file at path."""
     if path is None:
         sys.stdout.writelines(chunks)
-    else:
-        with open(path, "w", newline="\n") as fh:
-            fh.writelines(chunks)
+        return
+    try:
+        fh = open(path, "w", newline="\n")
+    except OSError as exc:
+        raise _Unwritable(f"cannot write {path}: {exc.strerror}") from exc
+    with fh:
+        fh.writelines(chunks)
 
 
 def _csv_chunks(header: str, row: str, table: np.ndarray) -> Iterator[str]:
@@ -330,6 +339,9 @@ def main(argv=None) -> int:
         os.dup2(devnull, fd)
         os.close(devnull)
         return EXIT_PIPE
+    except _Unwritable as exc:
+        print(exc, file=sys.stderr)
+        return EXIT_USAGE
     return code
 
 

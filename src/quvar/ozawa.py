@@ -276,7 +276,7 @@ class OzawaConfig:
             meter = self.meter_state()
         except ValueError as exc:
             raise ConfigError("meter_variances", str(exc)) from exc
-        if not math.isfinite(meter.vxp):  # 4·vyy0·vpp_y0 (or ħ²) overflowed, for any T
+        if not math.isfinite(meter.vxp):  # 4·vyy0·vpp_y0 overflowed, for any T
             raise ConfigError(
                 "meter_variances", f"sqrt(4*vyy0*vpp_y0 - hbar^2) overflows: vxp = {meter.vxp}"
             )

@@ -1,6 +1,7 @@
 import contextlib
 import io
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -25,7 +26,7 @@ from quvar import (
     oscillator_bounds_x,
     sql_reference,
 )
-from quvar.bounds import envelope
+from quvar.bounds import envelope, sqrt_uncertainty_excess
 from quvar.cli import main
 
 SQRT3 = math.sqrt(3.0)
@@ -130,6 +131,31 @@ class TestContractionTimeFree:
             vxx, rel=1e-12
         )
 
+    def test_a_double_overflow_is_named(self):
+        # 4·vxx0·vpp0 and ħ² both overflow: inf − inf was a NaN that passed
+        # both rejection tests, and t_M was NaN with it.
+        message = re.escape(
+            "4*vxx0*vpp0 and hbar^2 both overflow: vxx0 = 1e+200, vpp0 = 1e+200, hbar = 1e+200"
+        )
+        with pytest.raises(ValueError, match=message):
+            sqrt_uncertainty_excess(1e200, 1e200, 1e200)
+        with pytest.raises(ValueError, match=message):
+            contraction_time_free(1e200, 1e200, 1.0, 1e200)
+
+    def test_an_overflow_of_the_square_alone_keeps_its_message(self):
+        with pytest.raises(ValueError, match="uncertainty product below minimum"):
+            sqrt_uncertainty_excess(1.0, 1.0, 1e200)
+        assert sqrt_uncertainty_excess(1e200, 1e200, 1.0) == math.inf
+
+    @pytest.mark.parametrize(
+        "vxx0, vpp0, m, product",
+        [(0.9, math.inf, 1.3, "0.0 * inf"), (0.5, 0.5, math.inf, "inf * 0.0")],
+    )
+    def test_zero_times_infinity_is_named(self, vxx0, vpp0, m, product):
+        message = re.escape(f"t_M = (m/vpp0)*sqrt(4*vxx0*vpp0 - hbar^2) is {product}")
+        with pytest.raises(ValueError, match=message):
+            contraction_time_free(vxx0, vpp0, m, 1.0)
+
 
 class TestOscillatorBounds:
     def test_quarter_period_swap(self):
@@ -202,6 +228,11 @@ class TestSqlReference:
         assert sql_reference(1.0, 1.0, 1.0) == 1.0
         assert sql_reference(1.0, 1.0, 0.0) == 0.0
         assert sql_reference(2.0, 1.0, 1.0) == pytest.approx(0.5)
+
+    def test_non_positive_mass_rejected(self):
+        with pytest.raises(ValueError) as info:
+            sql_reference(0.0, 1.0, 1.0)
+        assert str(info.value) == "m must be > 0, got 0.0"
 
 
 class TestSandwich:

@@ -161,6 +161,9 @@ class TestBounds:
               "--vxx0", "1e300", "--vpp0", "3e7"], "sql line is not finite at t = 1e+155"),
             # ħ² overflows: the product check must still reject vxx0·vpp0 = 1.
             (["--hbar", "1e200"], "uncertainty product below minimum"),
+            # 4·vxx0·vpp0 overflows too: inf − inf, once reported as a non-finite row.
+            (["--hbar", "1e200", "--vxx0", "1e200", "--vpp0", "1e200"],
+             "4*vxx0*vpp0 and hbar^2 both overflow: vxx0 = 1e+200, vpp0 = 1e+200, hbar = 1e+200"),
             # ωt overflows, where cos(ωt) raised a bare "math domain error".
             (["--system", "osc-dimless", "--omega", "1e300", "--t-max", "1e10"],
              "phase omega*t is not finite at t = 200000000.0"),
@@ -558,6 +561,15 @@ class TestOzawa:
         assert code == 2
         assert "horizon" in err
 
+    def test_auto_schedule_of_a_zero_frequency_exits_2(self, capsys, tmp_path):
+        raw = json.loads(open(REFERENCE_CONFIG).read())
+        raw.update(system={"variant": "dimensionless_oscillator", "omega": 0.0}, T="auto")
+        path = tmp_path / "omega0.json"
+        path.write_text(json.dumps(raw))
+        code, out, err = run_cli(capsys, "ozawa", "--config", str(path))
+        assert (code, out) == (2, "")
+        assert err == "invalid config: system: auto schedule undefined for omega = 0\n"
+
     @pytest.mark.parametrize(
         "system",
         [{"variant": "free_mass", "m": 1e-300},
@@ -661,6 +673,21 @@ class TestClosedPipe:
 
         monkeypatch.setattr(sys, "stdout", ClosedStringIO())
         assert main(["bounds", "--steps", "10"]) == 141
+
+
+@pytest.mark.parametrize("argv", [
+    ["bounds", "--output"],
+    ["extremal", "--output"],
+    ["ozawa", "--config", REFERENCE_CONFIG, "--output"],
+    ["oracle", "--n", "4096", "--times", "0.5", "--dump-psi"],
+], ids=lambda argv: argv[0])
+def test_an_unwritable_output_path_exits_2_with_one_line(capsys, tmp_path, argv):
+    # A usage error, where it was a FileNotFoundError traceback with exit 1.
+    path = tmp_path / "missing" / "out.csv"
+    code, out, err = run_cli(capsys, *argv, str(path))
+    assert (code, out) == (2, "")
+    assert err.startswith(f"cannot write {path}: ") and err.count("\n") == 1, err
+    assert not path.parent.exists()
 
 
 @pytest.mark.parametrize("mode, imported", [("mean", False), ("sample", True)])

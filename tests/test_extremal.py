@@ -63,6 +63,11 @@ class TestComplexWidth:
         with pytest.raises(ValueError, match="sign"):
             complex_width_from_variances(1.0, 1.0, 1.0, 2)
 
+    def test_variances_of_a_left_half_plane_width_rejected(self):
+        with pytest.raises(ValueError) as info:
+            variances_from_complex_width(-1.0 + 0.5j)
+        assert str(info.value) == "Re(width) must be > 0, got (-1+0.5j)"
+
 
 class TestExtremalStates:
     def test_contractive_covariance(self):
@@ -99,6 +104,17 @@ class TestExtremalStates:
     def test_spec_rejects_nonpositive_real(self):
         with pytest.raises(ValueError, match="Re"):
             ExtremalSpec(width=-0.5 + 1.0j, sign=1)
+
+    def test_spec_rejects_a_sign_other_than_one(self):
+        with pytest.raises(ValueError) as info:
+            ExtremalSpec(width=0.5 + 1.0j, sign=2)
+        assert str(info.value) == "sign must be +1 or -1, got 2"
+
+    def test_a_double_overflow_builds_no_spec(self):
+        # 4·vxx0·vpp0 and ħ² both overflow: the width was 0.5+nanj, and its
+        # state's vpp nan.
+        with pytest.raises(ValueError, match=r"4\*vxx0\*vpp0 and hbar\^2 both overflow"):
+            ExtremalSpec.from_variances(1e200, 1e200, 1e200)
 
 
 class TestSqueezeMaps:
@@ -140,6 +156,17 @@ class TestSqueezeMaps:
     def test_rejects_left_half_plane(self):
         with pytest.raises(ValueError, match="Re"):
             squeeze_from_complex_width(-1.0 + 0.5j)
+
+    @pytest.mark.parametrize(
+        "build",
+        [lambda: complex_width_from_squeeze(-0.1, 0.0),
+         lambda: SqueezeParams(alpha=0.0, r=-0.1, theta=0.0)],
+        ids=["complex_width_from_squeeze", "SqueezeParams"],
+    )
+    def test_negative_squeeze_rejected(self, build):
+        with pytest.raises(ValueError) as info:
+            build()
+        assert str(info.value) == "r must be >= 0, got -0.1"
 
     @given(st.floats(0.01, 10.0), st.floats(-10.0, 10.0))
     def test_roundtrip_random_widths(self, re, im):

@@ -94,6 +94,13 @@ class TestValidateState:
         assert any("Schrodinger-Robertson" in v for v in report.violations)
 
 
+@pytest.mark.parametrize("hbar", [0.0, -1.0, math.nan])
+def test_phys_config_rejects_a_non_positive_hbar(hbar):
+    with pytest.raises(ValueError) as info:
+        PhysConfig(hbar)
+    assert str(info.value) == f"hbar must be > 0, got {hbar}"
+
+
 class TestOscillatorScale:
     @pytest.mark.parametrize(
         "m, omega", [(1e100, 1e100), (1e-300, 1e10), (1e300, 1e10), (1e-200, 1e-200)]

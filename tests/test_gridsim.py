@@ -33,7 +33,7 @@ from quvar import (
 )
 from quvar import _fanout, gridsim
 from quvar.bounds import envelope
-from quvar.gridsim import OracleRow, joint_moments, sample_joint
+from quvar.gridsim import OracleRow, WaveFn, _gaussian_amps, joint_moments, sample_joint, slice_at_y
 from split_step import propagate_osc
 
 SQRT3 = math.sqrt(3.0)
@@ -102,6 +102,11 @@ class TestSampling:
         with pytest.raises(GridError, match="norm|represent"):
             sample_extremal(CONTRACTIVE, 0.0, 0.0, Grid.centered(0.0, 40.0, 2**6), 1.0)
 
+    def test_non_positive_real_width_rejected(self):
+        with pytest.raises(ValueError) as info:
+            sample_gaussian(-1.0 + 0.0j, 0.0, 0.0, desk_grid(), 1.0)
+        assert str(info.value) == "Re(width) must be > 0, got (-1+0j)"
+
 
 class TestMoments:
     def test_real_wavefunction_has_zero_vxp(self):
@@ -162,6 +167,24 @@ class TestPropagateFree:
         psi = sample_extremal(MINIMAL_SPREADING, 0.0, 0.0, Grid.centered(0.0, 4.05, 2**10), 1.0)
         with pytest.raises(AliasingError, match="domain"):
             propagate_free(psi, 1.0, 1.5)
+
+    def test_unresolved_momentum_rejected_at_propagation(self):
+        # sigma_x = 0.9 dx: sampled without the sampler's checks, the packet's
+        # momentum support (6 sigma_P) is wider than the grid resolves.
+        grid = Grid.centered(0.0, 8.0, 64)
+        sigma_x = 0.9 * grid.dx
+        amps = _gaussian_amps(grid.points(), complex(1.0 / (2.0 * sigma_x**2), 0.0), 0.0, 0.0, 1.0)
+        with pytest.raises(AliasingError) as info:
+            propagate_free(WaveFn(grid=grid, amps=amps, hbar=1.0), 1.0, 0.1)
+        assert str(info.value) == (
+            "dx = 0.25 does not resolve the momentum support (need dx < πħ/(|⟨P⟩| + 6σP) = 0.236)"
+        )
+
+    def test_non_positive_mass_rejected(self):
+        psi = sample_extremal(CONTRACTIVE, 0.0, 0.0, desk_grid(n=2**10), 1.0)
+        with pytest.raises(ValueError) as info:
+            propagate_free(psi, 0.0, 1.0)
+        assert str(info.value) == "m must be > 0, got 0.0"
 
 
 class TestPropagateOsc:
@@ -508,6 +531,13 @@ class TestGridAxes:
             sys.setswitchinterval(interval)
         assert not any(thread.is_alive() for thread in threads)
         assert wrong == []
+
+
+def test_a_slice_of_zero_norm_is_rejected():
+    grid = Grid.centered(0.0, 4.0, 8)
+    with pytest.raises(ValueError) as info:
+        slice_at_y(np.zeros((8, 8), dtype=complex), grid, grid, 3)
+    assert str(info.value) == "slice at y index 3 has zero norm"
 
 
 class TestWavefnCsv:

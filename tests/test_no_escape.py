@@ -1,8 +1,10 @@
-"""No input escapes envelope() or verify_bounds_oracle() called directly.
+"""No input escapes envelope(), verify_bounds_oracle(), contraction_time_free()
+or ExtremalSpec.from_variances() called directly.
 
 Each call returns finite numbers or raises a typed error, a ValueError
 (GridError and the state errors among them) or an ArithmeticError, with
-every RuntimeWarning made an error. The CLI's own no-escape properties live
+every RuntimeWarning made an error. The contraction time and the extremal
+width may be inf, which the CLI's record check names; never NaN. The CLI's own no-escape properties live
 in test_cli.py; these hold the library entry points behind it. Grids stay at
 n <= 1024, so every oracle run takes the serial path.
 """
@@ -19,6 +21,7 @@ from quvar import (
     ExtremalSpec,
     FreeMass,
     Oscillator,
+    contraction_time_free,
     gaussian_from_extremal,
     verify_bounds_oracle,
 )
@@ -78,6 +81,34 @@ def test_envelope_returns_finite_ordered_sides_or_a_typed_error(system, args, sc
 
 def _args(**kw):
     return {**USABLE, **kw}
+
+
+# 4·vxx0·vpp0 and ħ² both overflow, where inf − inf made t_M and the width NaN.
+DOUBLE_OVERFLOW = _args(vxx0=1e200, vpp0=1e200, hbar=1e200)
+
+
+@example(args=DOUBLE_OVERFLOW)
+@settings(max_examples=300)
+@given(args=inputs("m", "hbar", "vxx0", "vpp0"))
+def test_contraction_time_is_a_non_negative_number_or_a_typed_error(args):
+    t = outcome(lambda: contraction_time_free(args["vxx0"], args["vpp0"], args["m"], args["hbar"]))
+    assert t is None or t >= 0, t  # NaN fails the comparison
+
+
+@example(sign=1, args=DOUBLE_OVERFLOW)
+@settings(max_examples=300)
+@given(sign=st.sampled_from([1, -1]), args=inputs("hbar", "vxx0", "vpp0"))
+def test_extremal_width_and_state_have_no_nan_or_a_typed_error(sign, args):
+    def build():
+        spec = ExtremalSpec.from_variances(args["vxx0"], args["vpp0"], args["hbar"], sign)
+        return spec, gaussian_from_extremal(spec, hbar=args["hbar"])
+
+    built = outcome(build)
+    if built is None:
+        return
+    spec, state = built
+    values = [spec.width.real, spec.width.imag, state.vxx, state.vpp, state.vxp]
+    assert not any(math.isnan(v) for v in values), (spec, state)
 
 
 # The extreme means and variances probed by hand before this property existed.

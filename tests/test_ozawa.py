@@ -23,6 +23,7 @@ from quvar import (
     ProtocolTrace,
     RegimeError,
     StepRecord,
+    TwoModeGaussian,
     check_regime,
     couple,
     evolve,
@@ -291,6 +292,11 @@ class TestReadMeter:
         joint = couple(contractive(1.0, 1.0), contractive(1.0, 1.0), 1.0, TRANSFER_KTAU)
         with pytest.raises(ValueError, match="finite"):
             read_meter(joint, math.nan)
+
+    def test_a_meter_without_position_variance_cannot_condition(self):
+        with pytest.raises(ValueError) as info:
+            read_meter(TwoModeGaussian(np.zeros(4), np.zeros((4, 4))), 0.0)
+        assert str(info.value) == "cannot condition: meter position variance 0.0 is not positive"
 
     def test_posterior_against_conditional_slice(self):
         sys_spec = ExtremalSpec.from_variances(1.0, 1.0, 1.0, 1)
