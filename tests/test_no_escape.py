@@ -4,9 +4,10 @@ or ExtremalSpec.from_variances() called directly.
 Each call returns finite numbers or raises a typed error, a ValueError
 (GridError and the state errors among them) or an ArithmeticError, with
 every RuntimeWarning made an error. The contraction time and the extremal
-width may be inf, which the CLI's record check names; never NaN. The CLI's own no-escape properties live
-in test_cli.py; these hold the library entry points behind it. Grids stay at
-n <= 1024, so every oracle run takes the serial path.
+width may be inf, which the CLI's record check names, but never NaN. The
+CLI's own no-escape properties live in test_cli.py; these hold the library
+entry points behind it. Grids stay at n <= 1024, so every oracle run takes
+the serial path.
 """
 
 import math
