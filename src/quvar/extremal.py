@@ -67,6 +67,8 @@ def variances_from_complex_width(w: complex, hbar: float = 1.0) -> tuple[float, 
     """(vxx, vpp) of the Gaussian state with complex width w (Re w > 0)."""
     if not w.real > 0:
         raise ValueError(f"Re(width) must be > 0, got {w}")
+    if w.real == math.inf:  # vxx would be 0 and vpp inf/inf = NaN
+        raise ValueError(f"Re(width) must be finite, got {w}")
     vxx = hbar / (2.0 * w.real)
     vpp = hbar * abs(w) ** 2 / (2.0 * w.real)
     return vxx, vpp

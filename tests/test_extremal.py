@@ -68,6 +68,12 @@ class TestComplexWidth:
             variances_from_complex_width(-1.0 + 0.5j)
         assert str(info.value) == "Re(width) must be > 0, got (-1+0.5j)"
 
+    def test_variances_of_an_infinite_real_width_rejected(self):
+        # vxx would be 0 and vpp inf/inf = NaN.
+        with pytest.raises(ValueError) as info:
+            variances_from_complex_width(complex(math.inf, math.inf))
+        assert str(info.value) == "Re(width) must be finite, got (inf+infj)"
+
 
 class TestExtremalStates:
     def test_contractive_covariance(self):

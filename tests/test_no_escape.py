@@ -97,6 +97,8 @@ def test_contraction_time_is_a_non_negative_number_or_a_typed_error(args):
 
 
 @example(sign=1, args=DOUBLE_OVERFLOW)
+# Re w = ħ/(2·vxx0) overflows to inf, where the state's vpp was inf/inf = NaN.
+@example(sign=1, args=_args(vxx0=5e-324, vpp0=math.inf))
 @settings(max_examples=300)
 @given(sign=st.sampled_from([1, -1]), args=inputs("hbar", "vxx0", "vpp0"))
 def test_extremal_width_and_state_have_no_nan_or_a_typed_error(sign, args):
