@@ -92,21 +92,23 @@ def _write_output(chunks: Iterable[str], path: str | None) -> None:
         fh.writelines(chunks)
 
 
-def _csv_chunks(header: str, row: str, table: np.ndarray) -> Iterator[str]:
-    """The header, then the table's rows in %-formatted chunks of 1024 rows.
+def _csv_chunks(header: str, row: str, blocks: list, rows: int) -> Iterator[str]:
+    """The header, then one %-formatted chunk per block of the table, a block
+    being its rows' column arrays: np.column_stack makes one block at a time
+    into rows, so the whole table is never stacked.
 
     A table of at least _FANOUT_ROWS rows formats its chunks in forked
-    workers (quvar._fanout, Linux): the same code on the same rows, so the
+    workers (quvar._fanout, Linux): the same code on the same blocks, so the
     same bytes, still written in order by this process, which holds its own
     chunk and about one from each worker.
     """
 
-    def chunk(i: int) -> str:
-        block = table[i : i + 1024]
-        return (row * len(block)) % tuple(block.ravel().tolist())
+    def chunk(block) -> str:
+        table = np.column_stack(block)
+        return (row * len(table)) % tuple(table.ravel().tolist())
 
     yield header
-    yield from fanout(chunk, range(0, len(table), 1024), len(table) >= _FANOUT_ROWS)
+    yield from fanout(chunk, blocks, rows >= _FANOUT_ROWS)
 
 
 def _sign_value(sign: str) -> int:
@@ -142,18 +144,28 @@ def _cmd_bounds(args) -> int:
     try:
         t = _time_grid(args)
         model = _model(args)
-        # Every row is validated here, before the first byte is written.
-        pair = envelope(model, args.vxx0, args.vpp0, t, args.hbar)
-        columns = [t, pair.lower, pair.upper]
-        if args.system == "free":
-            columns.append(sql_reference(args.m, args.hbar, t))
+        # One envelope() per 1024-row view of t, so no temporary spans the
+        # table; each block becomes one CSV chunk. Every block is validated
+        # here, before the first byte is written.
+        blocks = []
+        try:
+            for i in range(0, len(t), 1024):
+                pair = envelope(model, args.vxx0, args.vpp0, t[i : i + 1024], args.hbar)
+                blocks.append([pair.t, pair.lower, pair.upper])
+                if args.system == "free":
+                    blocks[-1].append(sql_reference(args.m, args.hbar, pair.t))
+        except ValueError:
+            # Name what one envelope() over all of t, then the sql line, would:
+            # an envelope check that fails in any block (t, then the phase,
+            # then the rows) comes before the first failing sql block.
+            envelope(model, args.vxx0, args.vpp0, t, args.hbar)
+            raise
     except ValueError as exc:
-        print(str(exc), file=sys.stderr)
+        print(exc, file=sys.stderr)
         return EXIT_USAGE
     row = "%.17g,%.17g,%.17g," + ("%.17g\n" if args.system == "free" else "\n")
-    table = np.column_stack(columns)
     # Closed on every exit, a broken pipe included: that reaps the chunks' workers.
-    with closing(_csv_chunks("t,lower,upper,sql_line\n", row, table)) as chunks:
+    with closing(_csv_chunks("t,lower,upper,sql_line\n", row, blocks, len(t))) as chunks:
         _write_output(chunks, args.output)
     return EXIT_OK
 
@@ -176,7 +188,7 @@ def _cmd_extremal(args) -> int:
         r, theta = squeeze_from_complex_width(w_dimless)
         beta = bogoliubov_eigenvalue(alpha, r, theta)
     except ValueError as exc:
-        print(str(exc), file=sys.stderr)
+        print(exc, file=sys.stderr)
         return EXIT_USAGE
     except OverflowError as exc:  # float ** past the double range, e.g. |w|² at vxx0 = 1e-300
         print(f"extremal state overflows the double range: {exc}", file=sys.stderr)
@@ -229,7 +241,7 @@ def _cmd_oracle(args) -> int:
         print(f"oracle failed: {exc}", file=sys.stderr)
         return EXIT_VERIFY
     except ValueError as exc:
-        print(str(exc), file=sys.stderr)
+        print(exc, file=sys.stderr)
         return EXIT_USAGE
     except OverflowError as exc:  # float ** past the double range, e.g. |w|² at vxx0 = 1e-300
         print(f"oracle state overflows the double range: {exc}", file=sys.stderr)

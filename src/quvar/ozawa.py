@@ -274,8 +274,9 @@ class OzawaConfig:
             raise ConfigError("hbar", "must be 1 for a dimensionless oscillator system")
         try:
             meter = self.meter_state()
-        except ValueError as exc:
-            raise ConfigError("meter_variances", str(exc)) from exc
+        except ValueError as exc:  # named in sqrt_uncertainty_excess's terms: vxx0, vpp0
+            msg = str(exc).replace("vxx0", "vyy0").replace("vpp0", "vpp_y0")
+            raise ConfigError("meter_variances", msg) from exc
         if not math.isfinite(meter.vxp):  # 4·vyy0·vpp_y0 overflowed, for any T
             raise ConfigError(
                 "meter_variances", f"sqrt(4*vyy0*vpp_y0 - hbar^2) overflows: vxp = {meter.vxp}"

@@ -423,6 +423,32 @@ class TestEnvelopeTableBitIdentity:
             assert code == 0
             assert peak <= limit_mib * 2**20, (system, peak / 2**20)
 
+    @pytest.mark.parametrize("steps", [1023, 1024, 1025, 2049])
+    @pytest.mark.parametrize("system, m, omega, hbar", TABLE_SYSTEMS)
+    def test_tables_ending_at_a_block_edge_equal_the_scalar_loop(
+        self, capsys, system, m, omega, hbar, steps
+    ):
+        # steps + 1 rows: the last 1024-row block holds 1024, 1, 2 or 2 rows.
+        args = (system, m, omega, hbar, 0.37, 2.3, 7.5, steps)
+        assert main(_bounds_argv(*args)) == 0
+        assert capsys.readouterr().out == _loop_table(*args)
+
+    @pytest.mark.parametrize("system", ["free", "osc", "osc-dimless"])
+    def test_table_peak_memory_holds_no_full_length_temporary(self, tmp_path, system):
+        # tracemalloc peak of a 10**5-row table written to a file, measured on
+        # Python 3.11.7 / numpy 2.4.6: 6.64 (free), 7.00 (osc) and 7.01 MiB
+        # (osc-dimless) with one envelope() over every row and the table
+        # stacked whole; 3.67, 2.64 and 2.65 MiB with 1024-row blocks.
+        path = tmp_path / f"{system}.csv"
+        tracemalloc.start()
+        try:
+            code = main(["bounds", f"--system={system}", "--steps=100000", f"--output={path}"])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        assert peak <= 4.5 * 2**20, peak / 2**20
+
 
 class TestEnvelopeArrayBody:
     MODELS = [FreeMass(m=1.7), Oscillator(m=1.3, omega=0.9), DimensionlessOscillator(omega=1.9)]

@@ -179,6 +179,40 @@ class TestBounds:
         assert not path.exists()
 
     @pytest.mark.parametrize(
+        "argv, message",
+        [
+            # The sql line overflows from row 1 (block 0), the envelope from row
+            # 24,479 (block 23): the envelope is named, as its check runs first.
+            (["--t-max", "1e161", "--steps", "100000", "--hbar", "1e154", "--m", "1e10",
+              "--vxx0", "1e300", "--vpp0", "3e7"],
+             "envelope is not finite at t = 2.4479000000000002e+160"),
+            # The first non-finite row is row 13,408, in block 13.
+            (["--system", "free", "--m", "1", "--t-max", "1e155", "--steps", "100000"],
+             "envelope is not finite at t = 1.3408e+154"),
+            # Only the sql line overflows, first at row 1,798 (block 1).
+            (["--t-max", "1e156", "--steps", "100000", "--hbar", "1e154", "--m", "1e10",
+              "--vxx0", "1e300", "--vpp0", "3e7"],
+             "sql line is not finite at t = 1.798e+154"),
+            # Rows overflow from row 1; t itself only from row 1,798 (block 1).
+            (["--t-max", "1e305", "--steps", "4000"], "t must be >= 0 and finite, got inf"),
+            # Rows overflow from row 1; the phase ωt only from row 1,998 (block 1).
+            (["--system", "osc", "--omega", "1e10", "--m", "1e-15", "--vpp0", "1e300",
+              "--t-max", "3.6e298", "--steps", "4000"],
+             "phase omega*t is not finite at t = 1.7982e+298"),
+        ],
+    )
+    def test_the_check_that_fails_first_over_the_whole_grid_is_named(
+        self, capsys, tmp_path, argv, message
+    ):
+        # The table is computed in 1024-row blocks; the error is the one a
+        # single pass over every row names: t, then the phase, then the rows,
+        # then the sql line, each at its first failing t.
+        path = tmp_path / "table.csv"
+        for extra in ([], ["--output", str(path)]):
+            assert run_cli(capsys, "bounds", *argv, *extra) == (2, "", message + "\n")
+        assert not path.exists()
+
+    @pytest.mark.parametrize(
         "m, omega", [("1e100", "1e100"), ("1e-300", "1e10"), ("1e300", "1e10")]
     )
     @pytest.mark.parametrize("command", ["bounds", "oracle"])
@@ -548,6 +582,26 @@ class TestOzawa:
         assert out_with_file == ""
         want = run_protocol(OzawaConfig.from_dict(raw)).to_csv().encode()
         assert trace_path.read_bytes() == out.encode() == want
+
+    @pytest.mark.parametrize(
+        "hbar, vyy0, vpp_y0, message",
+        [
+            (1e200, 1e200, 1e200, "4*vyy0*vpp_y0 and hbar^2 both overflow: "
+                                  "vyy0 = 1e+200, vpp_y0 = 1e+200, hbar = 1e+200"),
+            (1.0, 0.1, 0.1, "uncertainty product below minimum: "
+                            "vyy0*vpp_y0 = 0.01 < hbar^2/4 = 0.25"),
+        ],
+    )
+    def test_a_rejected_meter_product_names_the_meter_fields(
+        self, capsys, tmp_path, hbar, vyy0, vpp_y0, message
+    ):
+        # The closed form's own names (vxx0, vpp0) are the system's, not the meter's.
+        raw = json.loads(open(REFERENCE_CONFIG).read())
+        raw.update(hbar=hbar, meter_variances={"vyy0": vyy0, "vpp_y0": vpp_y0})
+        path = tmp_path / "meter.json"
+        path.write_text(json.dumps(raw))
+        code, out, err = run_cli(capsys, "ozawa", "--config", str(path))
+        assert (code, out, err) == (2, "", f"invalid config: meter_variances: {message}\n")
 
     def test_zero_horizon_auto_schedule_exits_2(self, capsys, tmp_path):
         raw = json.loads(open(REFERENCE_CONFIG).read())
