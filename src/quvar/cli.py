@@ -8,11 +8,15 @@ Subcommands::
     quvar ozawa     repeated-measurement protocol trace as CSV
 
 Exit codes: 0 success, 1 verification/tolerance failure, 2 usage or config
-error (an --output or --dump-psi path that cannot be written among them),
-141 (128 + SIGPIPE) with nothing on stderr when the reader closes stdout
-early, as `quvar bounds | head` does. Floats are printed with 17
-significant digits so every emitted value re-parses to the identical
-double. Identical invocations produce byte-identical output.
+error, 141 (128 + SIGPIPE) with nothing on stderr when the reader closes
+stdout early, as `quvar bounds | head` does. The commands raise; main alone
+turns an exception into one stderr line and a code: GridError "oracle
+failed: ..." 1, ConfigError "invalid config: ..." 2, any other ValueError
+(an --output or --dump-psi path that cannot be written among them) its
+message 2, OverflowError "COMMAND state overflows the double range: ..." 2.
+Floats are printed with 17 significant digits so every emitted value
+re-parses to the identical double. Identical invocations produce
+byte-identical output.
 """
 
 from __future__ import annotations
@@ -54,8 +58,8 @@ _FANOUT_ROWS = 32 * 1024
 def _render_json(obj, indent: int = 0, name: str = "") -> str:
     """JSON text of a record of dicts, complexes, floats and strings, with
     floats at 17 significant digits (round-trip exact). JSON has no inf or
-    nan: the first non-finite float raises ValueError "field = value", its
-    nested field dotted.
+    nan: the first non-finite float raises ValueError "extremal record is not
+    finite: field = value", its nested field dotted.
     """
     if isinstance(obj, complex):
         obj = {"re": obj.real, "im": obj.imag}
@@ -68,26 +72,23 @@ def _render_json(obj, indent: int = 0, name: str = "") -> str:
         return "{\n" + ",\n".join(items) + f"\n{pad}}}"
     if isinstance(obj, float):
         if not math.isfinite(obj):
-            raise ValueError(f"{name} = {obj}")
+            raise ValueError(f"extremal record is not finite: {name} = {obj}")
         return f"{obj:.17g}"
     if isinstance(obj, str):
         return json.dumps(obj)
     raise TypeError(f"cannot render {obj!r}")
 
 
-class _Unwritable(Exception):
-    """An --output or --dump-psi path that cannot be opened: main exits 2."""
-
-
 def _write_output(chunks: Iterable[str], path: str | None) -> None:
-    """Write the chunks in order to stdout, or to the file at path."""
+    """Write the chunks in order to stdout, or to the file at path: one that
+    cannot be opened raises ValueError "cannot write PATH: reason"."""
     if path is None:
         sys.stdout.writelines(chunks)
         return
     try:
         fh = open(path, "w", newline="\n")
     except OSError as exc:
-        raise _Unwritable(f"cannot write {path}: {exc.strerror}") from exc
+        raise ValueError(f"cannot write {path}: {exc.strerror}") from exc
     with fh:
         fh.writelines(chunks)
 
@@ -131,38 +132,38 @@ def _add_model_args(parser: argparse.ArgumentParser) -> None:
 
 
 def _time_grid(args) -> np.ndarray:
-    """The --steps + 1 times j * t_max / steps (the same doubles), checked."""
+    """The --steps + 1 times j * t_max / steps (the same doubles), checked and
+    built in place: the grid is the only full-length array made."""
     if not 0 < args.t_max < math.inf:
         raise ValueError("--t-max must be > 0 and finite")
     if args.steps < 1:
         raise ValueError("--steps must be >= 1")
+    t = np.arange(args.steps + 1, dtype=float)
     with np.errstate(over="ignore"):  # an overflowing t is rejected by envelope()
-        return np.arange(args.steps + 1) * args.t_max / args.steps
+        t *= args.t_max
+        t /= args.steps
+    return t
 
 
 def _cmd_bounds(args) -> int:
+    t = _time_grid(args)
+    model = _model(args)
+    # One envelope() per 1024-row view of t, so no temporary spans the
+    # table; each block becomes one CSV chunk. Every block is validated
+    # here, before the first byte is written.
+    blocks = []
     try:
-        t = _time_grid(args)
-        model = _model(args)
-        # One envelope() per 1024-row view of t, so no temporary spans the
-        # table; each block becomes one CSV chunk. Every block is validated
-        # here, before the first byte is written.
-        blocks = []
-        try:
-            for i in range(0, len(t), 1024):
-                pair = envelope(model, args.vxx0, args.vpp0, t[i : i + 1024], args.hbar)
-                blocks.append([pair.t, pair.lower, pair.upper])
-                if args.system == "free":
-                    blocks[-1].append(sql_reference(args.m, args.hbar, pair.t))
-        except ValueError:
-            # Name what one envelope() over all of t, then the sql line, would:
-            # an envelope check that fails in any block (t, then the phase,
-            # then the rows) comes before the first failing sql block.
-            envelope(model, args.vxx0, args.vpp0, t, args.hbar)
-            raise
-    except ValueError as exc:
-        print(exc, file=sys.stderr)
-        return EXIT_USAGE
+        for i in range(0, len(t), 1024):
+            pair = envelope(model, args.vxx0, args.vpp0, t[i : i + 1024], args.hbar)
+            blocks.append([pair.t, pair.lower, pair.upper])
+            if args.system == "free":
+                blocks[-1].append(sql_reference(args.m, args.hbar, pair.t))
+    except ValueError:
+        # Name what one envelope() over all of t, then the sql line, would:
+        # an envelope check that fails in any block (t, then the phase,
+        # then the rows) comes before the first failing sql block.
+        envelope(model, args.vxx0, args.vpp0, t, args.hbar)
+        raise
     row = "%.17g,%.17g,%.17g," + ("%.17g\n" if args.system == "free" else "\n")
     # Closed on every exit, a broken pipe included: that reaps the chunks' workers.
     with closing(_csv_chunks("t,lower,upper,sql_line\n", row, blocks, len(t))) as chunks:
@@ -172,27 +173,20 @@ def _cmd_bounds(args) -> int:
 
 def _cmd_extremal(args) -> int:
     sign = _sign_value(args.sign)
-    try:
-        hbar = args.hbar if args.system == "free" else 1.0
-        spec = ExtremalSpec.from_variances(args.vxx0, args.vpp0, hbar, sign)
-        state = gaussian_from_extremal(spec, args.mean_x, args.mean_p, hbar)
-        if args.system == "free":
-            contraction = {"t_contract": contraction_time_free(args.vxx0, args.vpp0, args.m, hbar)}
-        else:  # osc-dimless
-            contraction = {"phase_contract": contraction_phase_osc(args.vxx0, args.vpp0)}
-        # Squeeze labels live in dimensionless quadratures; scale by √ħ
-        # (fictitious unit-frequency oscillator). For ħ = 1 the reported
-        # width is unchanged.
-        w_dimless = complex_width_from_variances(args.vxx0 / hbar, args.vpp0 / hbar, 1.0, sign)
-        alpha = complex(args.mean_x, args.mean_p) / math.sqrt(2.0 * hbar)
-        r, theta = squeeze_from_complex_width(w_dimless)
-        beta = bogoliubov_eigenvalue(alpha, r, theta)
-    except ValueError as exc:
-        print(exc, file=sys.stderr)
-        return EXIT_USAGE
-    except OverflowError as exc:  # float ** past the double range, e.g. |w|² at vxx0 = 1e-300
-        print(f"extremal state overflows the double range: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    hbar = args.hbar if args.system == "free" else 1.0
+    spec = ExtremalSpec.from_variances(args.vxx0, args.vpp0, hbar, sign)
+    state = gaussian_from_extremal(spec, args.mean_x, args.mean_p, hbar)
+    if args.system == "free":
+        contraction = {"t_contract": contraction_time_free(args.vxx0, args.vpp0, args.m, hbar)}
+    else:  # osc-dimless
+        contraction = {"phase_contract": contraction_phase_osc(args.vxx0, args.vpp0)}
+    # Squeeze labels live in dimensionless quadratures; scale by √ħ
+    # (fictitious unit-frequency oscillator). For ħ = 1 the reported
+    # width is unchanged.
+    w_dimless = complex_width_from_variances(args.vxx0 / hbar, args.vpp0 / hbar, 1.0, sign)
+    alpha = complex(args.mean_x, args.mean_p) / math.sqrt(2.0 * hbar)
+    r, theta = squeeze_from_complex_width(w_dimless)
+    beta = bogoliubov_eigenvalue(alpha, r, theta)
     record = {
         "system": args.system,
         "sign": args.sign,
@@ -202,50 +196,35 @@ def _cmd_extremal(args) -> int:
         **contraction,
         "squeeze": {"r": r, "theta": theta, "alpha": alpha, "beta": beta},
     }
-    try:
-        text = _render_json(record)
-    except ValueError as exc:
-        print(f"extremal record is not finite: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    _write_output([text + "\n"], args.output)
+    _write_output([_render_json(record) + "\n"], args.output)
     return EXIT_OK
 
 
 def _cmd_oracle(args) -> int:
     sign = _sign_value(args.sign)
-    try:
-        model = _model(args)
-        hbar = model._hbar(args.hbar)
-        if args.times:
-            times = [float(tok) for tok in args.times.split(",") if tok.strip()]
-        else:
-            times = _time_grid(args)
-        spec = ExtremalSpec.from_variances(args.vxx0, args.vpp0, hbar, sign)
-        report = verify_bounds_oracle(
-            spec,
-            model,
-            times,
-            mean_x=args.mean_x,
-            mean_p=args.mean_p,
-            hbar=hbar,
-            n=args.n,
-            domain_sigmas=args.domain_sigmas,
-            tolerance=args.tolerance,
-        )
-        if args.dump_psi:
-            sigma = math.sqrt(args.vxx0)
-            grid = Grid.centered(args.mean_x, args.domain_sigmas * sigma, args.n)
-            psi = sample_extremal(spec, args.mean_x, args.mean_p, grid, hbar)
-            _write_output([wavefn_csv(psi)], args.dump_psi)
-    except GridError as exc:
-        print(f"oracle failed: {exc}", file=sys.stderr)
-        return EXIT_VERIFY
-    except ValueError as exc:
-        print(exc, file=sys.stderr)
-        return EXIT_USAGE
-    except OverflowError as exc:  # float ** past the double range, e.g. |w|² at vxx0 = 1e-300
-        print(f"oracle state overflows the double range: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    model = _model(args)
+    hbar = model._hbar(args.hbar)
+    if args.times:
+        times = [float(tok) for tok in args.times.split(",") if tok.strip()]
+    else:
+        times = _time_grid(args)
+    spec = ExtremalSpec.from_variances(args.vxx0, args.vpp0, hbar, sign)
+    report = verify_bounds_oracle(
+        spec,
+        model,
+        times,
+        mean_x=args.mean_x,
+        mean_p=args.mean_p,
+        hbar=hbar,
+        n=args.n,
+        domain_sigmas=args.domain_sigmas,
+        tolerance=args.tolerance,
+    )
+    if args.dump_psi:
+        sigma = math.sqrt(args.vxx0)
+        grid = Grid.centered(args.mean_x, args.domain_sigmas * sigma, args.n)
+        psi = sample_extremal(spec, args.mean_x, args.mean_p, grid, hbar)
+        _write_output([wavefn_csv(psi)], args.dump_psi)
     print(report.render())
     return EXIT_OK if report.ok else EXIT_VERIFY
 
@@ -261,23 +240,18 @@ def _cmd_ozawa(args) -> int:
             raw = json.load(fh, parse_constant=_reject_constant)
         config = OzawaConfig.from_dict(raw)
     except OSError as exc:
-        print(f"cannot read config: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except ConfigError as exc:
-        print(f"invalid config: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        raise ValueError(f"cannot read config: {exc}") from exc
+    except ConfigError:
+        raise
     except ValueError as exc:  # a JSONDecodeError, or an integer with > 4300 digits
-        print(f"config is not valid JSON: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        raise ValueError(f"config is not valid JSON: {exc}") from exc
     warnings = check_regime(config)
     for w in warnings:
         print(f"warning: {w}", file=sys.stderr)
     try:
         trace = run_protocol(config)
-    except ConfigError as exc:
-        # e.g. auto schedule with a zero-horizon (minimal-uncertainty) meter
-        print(f"invalid config: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    except ConfigError:  # e.g. auto schedule with a zero-horizon (minimal-uncertainty) meter
+        raise
     except (ValueError, RuntimeError) as exc:
         print(f"protocol failed: {exc}", file=sys.stderr)
         return EXIT_VERIFY
@@ -351,8 +325,18 @@ def main(argv=None) -> int:
         os.dup2(devnull, fd)
         os.close(devnull)
         return EXIT_PIPE
-    except _Unwritable as exc:
+    # GridError and ConfigError are ValueErrors: they are caught first.
+    except GridError as exc:
+        print(f"oracle failed: {exc}", file=sys.stderr)
+        return EXIT_VERIFY
+    except ConfigError as exc:
+        print(f"invalid config: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    except ValueError as exc:
         print(exc, file=sys.stderr)
+        return EXIT_USAGE
+    except OverflowError as exc:  # float ** past the double range, e.g. |w|² at vxx0 = 1e-300
+        print(f"{args.command} state overflows the double range: {exc}", file=sys.stderr)
         return EXIT_USAGE
     return code
 

@@ -61,7 +61,6 @@ __all__ = [
     "system_marginal",
     "read_meter",
     "ConfigError",
-    "RegimeError",
     "OzawaConfig",
     "check_regime",
     "StepRecord",
@@ -203,10 +202,6 @@ class ConfigError(ValueError):
     def __init__(self, field_name: str, message: str) -> None:
         super().__init__(f"{field_name}: {message}")
         self.field = field_name
-
-
-class RegimeError(RuntimeError):
-    """Strict mode: regime warnings promoted to an error."""
 
 
 _MODELS = {"free_mass": FreeMass, "oscillator": Oscillator,
@@ -414,7 +409,7 @@ def _covariance_step(cov: tuple, meter: GaussianState, M: np.ndarray, F: np.ndar
     return cov, post, (vyy, c[3][3], c[2][3]), c02, c12, n, ok
 
 
-def run_protocol(config: OzawaConfig, strict: bool = False) -> ProtocolTrace:
+def run_protocol(config: OzawaConfig) -> ProtocolTrace:
     """Execute N couple → read → collapse → free-evolution rounds.
 
     Each round uses a freshly prepared contractive meter, draws the reading
@@ -424,9 +419,9 @@ def run_protocol(config: OzawaConfig, strict: bool = False) -> ProtocolTrace:
     automatic schedule the pre-measurement position variance at rounds 2..N
     equals the meter preparation variance exactly (up to rounding).
 
-    The regime is checked only when strict: then any check_regime warning
-    raises RegimeError. Callers report the warnings, as `quvar ozawa` does.
-    The meter-variance transfer identity is asserted at every step whenever
+    The run does not check the regime: callers report check_regime's
+    warnings, as `quvar ozawa` does (its --strict then exits 1). The
+    meter-variance transfer identity is asserted at every step whenever
     the timing dose is exact.
 
     The coupling map, the free flow over T − τ and the meter preparation are
@@ -453,8 +448,6 @@ def run_protocol(config: OzawaConfig, strict: bool = False) -> ProtocolTrace:
     ProtocolTrace.csv_lines() streams the trace as CSV row by row, which is
     how `quvar ozawa` writes it.
     """
-    if strict and (warnings := check_regime(config)):
-        raise RegimeError("; ".join(warnings))
     pconf = PhysConfig(config.hbar)
     period = config.period()
     wait = period - config.tau

@@ -407,22 +407,6 @@ class TestEnvelopeTableBitIdentity:
         assert capsys.readouterr().out == ""
         assert path.read_bytes() == out.encode()
 
-    def test_table_peak_memory_is_a_fraction_of_the_row_loop(self, tmp_path):
-        # tracemalloc peak of a 10**5-row table written to a file, measured on
-        # Python 3.11.7 / numpy 2.4.6: the per-row loop that joined 10**5
-        # f-strings in memory peaked at 25.7 MiB (free) and 21.3 MiB (osc);
-        # the array body with 4096-row chunks peaks at 7.3 and 7.7 MiB.
-        for system, limit_mib in (("free", 25.7 / 2), ("osc", 21.3 / 2)):
-            path = tmp_path / f"{system}.csv"
-            tracemalloc.start()
-            try:
-                code = main(["bounds", f"--system={system}", "--steps=100000", f"--output={path}"])
-                peak = tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
-            assert code == 0
-            assert peak <= limit_mib * 2**20, (system, peak / 2**20)
-
     @pytest.mark.parametrize("steps", [1023, 1024, 1025, 2049])
     @pytest.mark.parametrize("system, m, omega, hbar", TABLE_SYSTEMS)
     def test_tables_ending_at_a_block_edge_equal_the_scalar_loop(

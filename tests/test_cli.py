@@ -1,19 +1,22 @@
+import argparse
 import io
 import json
 import math
 import os
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import quvar
-from quvar import OzawaConfig, _fanout, cli, run_protocol
+from quvar import ConfigError, GridError, OzawaConfig, _fanout, cli, run_protocol
 from quvar.cli import main
 
 SQRT3 = math.sqrt(3.0)
@@ -88,6 +91,21 @@ class TestBounds:
         assert code == 2
         assert out == ""
         assert "--t-max must be > 0 and finite" in err
+
+    @pytest.mark.parametrize("t_max", [2.0, 1e-300, 1.797e308])
+    def test_the_time_grid_holds_only_itself(self, t_max):
+        # The grid is built in place: no int64 arange and no second float array
+        # beside it (15.3 MiB traced for the 7.6 MiB grid when it had both).
+        args = argparse.Namespace(t_max=t_max, steps=10**6)
+        tracemalloc.start()
+        try:
+            t = cli._time_grid(args)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.25 * t.nbytes, peak / t.nbytes
+        with np.errstate(over="ignore"):
+            assert np.array_equal(t, np.arange(10**6 + 1) * t_max / 10**6)
 
     def test_byte_identical_reruns(self, capsys):
         _, out1, _ = run_cli(capsys, "bounds", "--steps", "11")
@@ -742,6 +760,33 @@ def test_an_unwritable_output_path_exits_2_with_one_line(capsys, tmp_path, argv)
     assert (code, out) == (2, "")
     assert err.startswith(f"cannot write {path}: ") and err.count("\n") == 1, err
     assert not path.parent.exists()
+
+
+@pytest.mark.parametrize("exc, code, prefix", [
+    (GridError("boom"), 1, "oracle failed: "),
+    (ConfigError("field", "boom"), 2, "invalid config: "),
+    (ValueError("boom"), 2, ""),
+    (OverflowError("boom"), 2, "{} state overflows the double range: "),
+], ids=["GridError", "ConfigError", "ValueError", "OverflowError"])
+@pytest.mark.parametrize("argv, owner, name", [
+    (["bounds"], cli, "envelope"),
+    (["extremal"], cli, "gaussian_from_extremal"),
+    (["oracle"], cli, "verify_bounds_oracle"),
+    (["ozawa", "--config", REFERENCE_CONFIG], cli.OzawaConfig, "from_dict"),
+], ids=["bounds", "extremal", "oracle", "ozawa"])
+def test_main_maps_each_error_to_one_line_and_its_code(
+    capsys, monkeypatch, exc, code, prefix, argv, owner, name
+):
+    # The commands raise; main alone prints the one line and picks the code.
+    # _cmd_ozawa names a config that is not JSON itself, and a GridError is a
+    # ValueError, so building the config reports both that way.
+    def fail(*args, **kwargs):
+        raise exc
+
+    monkeypatch.setattr(owner, name, fail)
+    if argv[0] == "ozawa" and type(exc) in (GridError, ValueError):
+        code, prefix = 2, "config is not valid JSON: "
+    assert run_cli(capsys, *argv) == (code, "", f"{prefix.format(argv[0])}{exc}\n")
 
 
 @pytest.mark.parametrize("mode, imported", [("mean", False), ("sample", True)])

@@ -21,7 +21,6 @@ from quvar import (
     OzawaConfig,
     PhysConfig,
     ProtocolTrace,
-    RegimeError,
     StepRecord,
     TwoModeGaussian,
     check_regime,
@@ -533,11 +532,6 @@ class TestRunProtocol:
         a = run_protocol(base_config(N=2, mode="mean", seed=1)).to_csv()
         b = run_protocol(base_config(N=2, mode="mean", seed=2)).to_csv()
         assert a == b
-
-    def test_strict_mode_raises_on_warnings(self):
-        cfg = base_config(Omega=50.0)
-        with pytest.raises(RegimeError):
-            run_protocol(cfg, strict=True)
 
     def test_inexact_dose_runs_with_warning_only(self):
         # The transfer identity is only asserted at the exact dose; an
