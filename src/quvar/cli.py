@@ -238,13 +238,13 @@ def _cmd_ozawa(args) -> int:
     try:
         with open(args.config) as fh:
             raw = json.load(fh, parse_constant=_reject_constant)
-        config = OzawaConfig.from_dict(raw)
     except OSError as exc:
         raise ValueError(f"cannot read config: {exc}") from exc
-    except ConfigError:
+    except ConfigError:  # a non-finite literal
         raise
     except ValueError as exc:  # a JSONDecodeError, or an integer with > 4300 digits
         raise ValueError(f"config is not valid JSON: {exc}") from exc
+    config = OzawaConfig.from_dict(raw)
     warnings = check_regime(config)
     for w in warnings:
         print(f"warning: {w}", file=sys.stderr)

@@ -392,9 +392,11 @@ def _covariance_step(cov: tuple, meter: GaussianState, M: np.ndarray, F: np.ndar
     than warned about. No covariance operation reads a mean, so these are
     the round's own covariances bit for bit. Returns (cov, the posterior's,
     the meter marginal's, c02, c12, the next pre-measurement covariance,
-    ok), each covariance (vxx, vpp, vxp) and c02, c12 the cross terms: ok
-    is False unless the posterior covariance validates (with any finite
-    means) and the next one is finite."""
+    ok, √vyy, transfer_err), each covariance (vxx, vpp, vxp) and c02, c12
+    the cross terms: ok is False unless the posterior covariance validates
+    (with any finite means) and the next one is finite; transfer_err is
+    |vyy − vxx| where it breaks the transfer identity's tolerance, else
+    None."""
     c = _joint_cov(GaussianState(0.0, 0.0, *cov), meter, M).tolist()
     c02, c12, vyy = c[0][2], c[1][2], c[2][2]
     if vyy <= 0:
@@ -406,7 +408,9 @@ def _covariance_step(cov: tuple, meter: GaussianState, M: np.ndarray, F: np.ndar
     n = (F @ q.cov @ F.T).tolist()
     n = n[0][0], n[1][1], 0.5 * (n[0][1] + n[1][0])
     ok = validate_state(q, pconf).ok and all(map(math.isfinite, n))
-    return cov, post, (vyy, c[3][3], c[2][3]), c02, c12, n, ok
+    err = abs(vyy - cov[0])
+    err = err if err > 1e-10 * max(1.0, abs(cov[0])) else None
+    return cov, post, (vyy, c[3][3], c[2][3]), c02, c12, n, ok, math.sqrt(vyy), err
 
 
 def run_protocol(config: OzawaConfig) -> ProtocolTrace:
@@ -443,6 +447,10 @@ def run_protocol(config: OzawaConfig) -> ProtocolTrace:
     The loop carries the means as floats and the covariance as its step's
     tuple, and appends one flat row per round that references its covariance
     step (see quvar._trace): it builds no GaussianState or StepRecord.
+    The mean step builds no array: each round writes its means into v4
+    (slots 2–3 hold the meter means from the start) and v2, and ndarray.dot
+    writes M·v4 and F·v2 into w4 and w2, four vectors made once per run.
+    That is the BLAS dgemv M @ np.array([...]) reaches, so the bits agree.
     The result is bit-identical to chaining couple → meter_marginal →
     read_meter → evolve by hand with rng.normal draws.
     ProtocolTrace.csv_lines() streams the trace as CSV row by row, which is
@@ -467,6 +475,8 @@ def run_protocol(config: OzawaConfig) -> ProtocolTrace:
     init = config.initial_system
     mx, mp, cov = init.mean_x, init.mean_p, (init.vxx, init.vpp, init.vxp)
     rows = []
+    v4, w4 = np.array([0.0, 0.0, meter.mean_x, meter.mean_p]), np.empty(4)
+    v2, w2 = np.empty(2), np.empty(2)
     # One np.errstate for the whole loop: an overflowing mean or covariance is
     # named by the checks below, never warned about.
     with np.errstate(all="ignore"):
@@ -477,23 +487,22 @@ def run_protocol(config: OzawaConfig) -> ProtocolTrace:
             if step is None or not math.isfinite(mx + mp):
                 _require_valid("system", GaussianState(mx, mp, *cov), pconf)
                 step = steps[key] = step or _covariance_step(cov, meter, M, F, pconf)
-            _, post, (vyy, _, _), c02, c12, nxt, ok = step
+            _, post, (vyy, _, _), c02, c12, nxt, ok, sd, transfer_err = step
             # The mean step: couple's, read_meter's and evolve's mean arithmetic.
-            mean = (M @ np.array([mx, mp, meter.mean_x, meter.mean_p])).tolist()
+            v4[0], v4[1] = mx, mp
+            mean = M.dot(v4, out=w4).tolist()
             reading = mean[2]
             if sample:
-                reading += math.sqrt(vyy) * normals[i - 1]
+                reading += sd * normals[i - 1]
             if not math.isfinite(reading):
                 raise ValueError(f"y_reading must be finite, got {reading}")
             shift = reading - mean[2]
             qx, qp = mean[0] + c02 * shift / vyy, mean[1] + c12 * shift / vyy
-            if timing_exact:
-                transfer_err = abs(vyy - cov[0])
-                if transfer_err > 1e-10 * max(1.0, abs(cov[0])):
-                    raise RuntimeError(
-                        f"variance transfer violated at step {i}: "
-                        f"|vyy_meter - vxx_pre| = {transfer_err:.3g}"
-                    )
+            if timing_exact and transfer_err is not None:
+                raise RuntimeError(
+                    f"variance transfer violated at step {i}: "
+                    f"|vyy_meter - vxx_pre| = {transfer_err:.3g}"
+                )
             rows.append((i, (i - 1) * period, reading, step, mx, mp, qx, qp, mean[2], mean[3]))
             if not (ok and math.isfinite(qx + qp)):
                 _require_valid("posterior", GaussianState(qx, qp, *post), pconf)
@@ -501,7 +510,8 @@ def run_protocol(config: OzawaConfig) -> ProtocolTrace:
                     raise ValueError(
                         f"round {i}: posterior covariance overflows over T - tau = {wait}"
                     )
-            mx, mp = (F @ np.array([qx, qp])).tolist()
+            v2[0], v2[1] = qx, qp
+            mx, mp = F.dot(v2, out=w2).tolist()
             cov = nxt
     # A round's evolved mean is checked by the next round; the last round's here.
     if not (math.isfinite(mx) and math.isfinite(mp)):

@@ -778,14 +778,12 @@ def test_main_maps_each_error_to_one_line_and_its_code(
     capsys, monkeypatch, exc, code, prefix, argv, owner, name
 ):
     # The commands raise; main alone prints the one line and picks the code.
-    # _cmd_ozawa names a config that is not JSON itself, and a GridError is a
-    # ValueError, so building the config reports both that way.
+    # _cmd_ozawa names only json.load's errors itself: an error from building
+    # the parsed config reaches main as it was raised.
     def fail(*args, **kwargs):
         raise exc
 
     monkeypatch.setattr(owner, name, fail)
-    if argv[0] == "ozawa" and type(exc) in (GridError, ValueError):
-        code, prefix = 2, "config is not valid JSON: "
     assert run_cli(capsys, *argv) == (code, "", f"{prefix.format(argv[0])}{exc}\n")
 
 

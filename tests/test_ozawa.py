@@ -7,6 +7,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.linalg import expm
 
 from quvar import (
@@ -801,6 +803,72 @@ def test_states_are_validated_once_per_distinct_covariance(monkeypatch, mode):
     assert 1 <= len(steps) <= 10
     assert len(validated) <= 2 * len(steps) + 1
     assert got.to_csv() == reference_csv(reference_trace(cfg))
+
+
+class CountingNumpy:
+    """Stands in for quvar.ozawa's numpy and counts each call of a function
+    looked up on it. Classes pass through uncounted."""
+
+    def __init__(self):
+        self.calls = 0
+
+    def __getattr__(self, name):
+        attr = getattr(np, name)
+        if not callable(attr) or isinstance(attr, type):
+            return attr
+
+        def counted(*args, **kwargs):
+            self.calls += 1
+            return attr(*args, **kwargs)
+
+        return counted
+
+
+@pytest.mark.parametrize("mode", ["mean", "sample"])
+def test_numpy_calls_scale_with_covariances_not_rounds(monkeypatch, mode):
+    # The mean step writes each round's means into vectors made once per run,
+    # so a round that reuses a covariance step calls no numpy function.
+    counts = []
+    for n in (100, 1000):
+        cfg = OzawaConfig.from_dict(dict(json.loads(REFERENCE_CONFIG.read_text()), N=n, mode=mode))
+        with monkeypatch.context() as patch:
+            steps = spy_covariance_step(patch)
+            proxy = CountingNumpy()
+            patch.setattr(ozawa, "np", proxy)
+            got = run_protocol(cfg)
+        counts.append((len(steps), proxy.calls))
+        assert got.to_csv() == reference_csv(reference_trace(cfg))
+    assert counts[0] == counts[1] and counts[0][1] > 0, counts
+
+
+# Doubles for the mean step's BLAS guard: any finite double, with signed
+# zeros, subnormals and magnitudes near the top of the range drawn often.
+MEAN_STEP_DOUBLES = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072009e-308, -1e-310,
+                     1e300, -1e300, 1.7976931348623157e308, -1.7976931348623157e308]),
+    st.floats(min_value=1e290, max_value=1e308).flatmap(lambda x: st.sampled_from([x, -x])),
+    st.floats(min_value=5e-324, max_value=2.2250738585072009e-308),
+)
+
+
+@settings(max_examples=300)
+@given(st.data(), st.sampled_from([4, 2]))
+def test_reused_buffers_give_the_bits_of_a_fresh_array(data, dim):
+    # run_protocol's mean step computes M @ np.array([mx, mp, 0.0, 0.0]) and
+    # F @ np.array([qx, qp]) as A.dot(v, out=w) on vectors it reuses every
+    # round. Both reach the same BLAS dgemv; if a numpy or OpenBLAS upgrade
+    # sends them to different kernels, this fails before the golden files do.
+    a = np.array(data.draw(st.lists(MEAN_STEP_DOUBLES, min_size=dim * dim, max_size=dim * dim)))
+    a = a.reshape(dim, dim)
+    v, w = np.zeros(dim), np.empty(dim)
+    means = st.tuples(MEAN_STEP_DOUBLES, MEAN_STEP_DOUBLES)
+    with np.errstate(all="ignore"):
+        for x, p in data.draw(st.lists(means, min_size=1, max_size=5)):
+            v[0] = x
+            v[1] = p
+            fresh = a @ np.array([x, p, 0.0, 0.0][:dim])
+            assert a.dot(v, out=w).tobytes() == fresh.tobytes()
 
 
 def first_error(run, cfg):
