@@ -865,8 +865,7 @@ def test_reused_buffers_give_the_bits_of_a_fresh_array(data, dim):
     means = st.tuples(MEAN_STEP_DOUBLES, MEAN_STEP_DOUBLES)
     with np.errstate(all="ignore"):
         for x, p in data.draw(st.lists(means, min_size=1, max_size=5)):
-            v[0] = x
-            v[1] = p
+            v[0], v[1] = x, p
             fresh = a @ np.array([x, p, 0.0, 0.0][:dim])
             assert a.dot(v, out=w).tobytes() == fresh.tobytes()
 
