@@ -134,15 +134,18 @@ def contraction_time_free(vxx0: float, vpp0: float, m: float, hbar: float) -> fl
 
     t_M = (m/vpp0)·√(4·vxx0·vpp0 − ħ²); zero at minimum uncertainty. On the
     lower envelope σ²(X(t_M)) returns exactly to vxx0, with the global
-    minimum ħ²/(4·vpp0) reached at t_M/2. A product 0·inf, where m/vpp0
-    or the square root over- or underflows, raises ValueError.
+    minimum ħ²/(4·vpp0) reached at t_M/2. A t_M that is not finite raises
+    ValueError: a product 0·inf, where m/vpp0 or the square root over- or
+    underflows, or an overflow of either factor or of their product.
     """
     if not m > 0:
         raise ValueError(f"m must be > 0, got {m}")
     s = sqrt_uncertainty_excess(vxx0, vpp0, hbar)
     t_m = m / vpp0 * s
-    if math.isnan(t_m):
-        raise ValueError(f"t_M = (m/vpp0)*sqrt(4*vxx0*vpp0 - hbar^2) is {m / vpp0} * {s}")
+    if not math.isfinite(t_m):
+        raise ValueError(
+            f"t_M = (m/vpp0)*sqrt(4*vxx0*vpp0 - hbar^2) is {m / vpp0} * {s} = {t_m}, not finite"
+        )
     return t_m
 
 

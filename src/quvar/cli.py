@@ -41,7 +41,7 @@ from .extremal import (
     squeeze_from_complex_width,
 )
 from .gaussian import DimensionlessOscillator, FreeMass, Oscillator, SystemModel
-from .gridsim import GridError, sample_extremal, verify_bounds_oracle, wavefn_csv, Grid
+from .gridsim import GridError, sample_extremal, verify_bounds_oracle, wavefn_csv
 from .ozawa import ConfigError, OzawaConfig, check_regime, run_protocol
 
 EXIT_OK = 0
@@ -220,10 +220,8 @@ def _cmd_oracle(args) -> int:
         domain_sigmas=args.domain_sigmas,
         tolerance=args.tolerance,
     )
-    if args.dump_psi:
-        sigma = math.sqrt(args.vxx0)
-        grid = Grid.centered(args.mean_x, args.domain_sigmas * sigma, args.n)
-        psi = sample_extremal(spec, args.mean_x, args.mean_p, grid, hbar)
+    if args.dump_psi:  # ψ0 again, on the grid the oracle sampled it on
+        psi = sample_extremal(spec, args.mean_x, args.mean_p, report.grid, hbar)
         _write_output([wavefn_csv(psi)], args.dump_psi)
     print(report.render())
     return EXIT_OK if report.ok else EXIT_VERIFY
@@ -298,7 +296,11 @@ def build_parser() -> argparse.ArgumentParser:
     po.add_argument("--n", type=int, default=2**14)
     po.add_argument("--domain-sigmas", type=float, default=40.0)
     po.add_argument("--tolerance", type=float, default=1e-8)
-    po.add_argument("--dump-psi", default=None, help="write the initial |psi|^2 as CSV")
+    po.add_argument(
+        "--dump-psi",
+        default=None,
+        help="write the initial psi as CSV on the oracle's grid, which spans every requested time",
+    )
     po.set_defaults(func=_cmd_oracle)
 
     pz = sub.add_parser("ozawa", help="repeated-measurement protocol trace as CSV")

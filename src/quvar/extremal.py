@@ -56,11 +56,18 @@ def complex_width_from_variances(
     gives the contractive (lower-envelope) state, sign=−1 the expanding one.
     With ħ = 1 and quadrature-unit variances this is the dimensionless
     oscillator width; with dimensional variances it is the free-mass width.
+    A width that overflows (vpp0 = inf, or 4·vxx0·vpp0 past the double
+    range) raises ValueError.
     """
     if sign not in (1, -1):
         raise ValueError(f"sign must be +1 or -1, got {sign}")
     s = sqrt_uncertainty_excess(vxx0, vpp0, hbar)
-    return complex(hbar / (2.0 * vxx0), sign * s / (2.0 * vxx0))
+    w = complex(hbar / (2.0 * vxx0), sign * s / (2.0 * vxx0))
+    if not cmath.isfinite(w):
+        raise ValueError(
+            f"width (hbar + i*sign*sqrt(4*vxx0*vpp0 - hbar^2))/(2*vxx0) overflows: w = {w}"
+        )
+    return w
 
 
 def variances_from_complex_width(w: complex, hbar: float = 1.0) -> tuple[float, float]:

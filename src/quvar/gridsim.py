@@ -20,7 +20,8 @@ So is the oscillator (chirp–FFT–chirp, coefficients from the Hamiltonian,
 never from the closed-form flow it checks), the oracle's one route; the
 tests hold it against a split step of their own. Both preserve the norm to
 rounding. The public propagate_* check the input's momentum resolution, run
-an unchecked core and check the result's 8σ window and norm.
+an unchecked core and check the result's norm (in moments()), then its 8σ
+window.
 
 The oracle builds its grid's points and momenta once (the Grid keeps them,
 read-only, for sampling, the cores and moments()), checks its ψ0 once, and
@@ -41,7 +42,7 @@ joint_moments integrates its moments and slice_at_y conditions on a reading.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional, Union
 
 import numpy as np
@@ -233,20 +234,25 @@ def sample_extremal(
     return sample_gaussian(spec.width, mean_x, mean_p, grid, hbar)
 
 
-def moments(psi: WaveFn, check_norm: bool = True) -> Moments:
+def moments(psi: WaveFn) -> Moments:
     """Position moments by trapezoid quadrature, momentum moments spectrally.
 
     vxp = Re⟨ψ|(X−⟨X⟩)(P̂−⟨P⟩)|ψ⟩ with P̂ applied through the FFT; the real
-    part is automatically the symmetrized covariance. Raises GridError if
-    the quadrature norm deviates from 1 by more than 1e−6.
+    part is automatically the symmetrized covariance. This is the one norm
+    check: a quadrature norm more than 1e−6 from 1 raises AliasingError (a
+    GridError), since either ψ is not normalized or, after a propagation,
+    its density reached the domain boundary.
     """
     grid, a, hbar = psi.grid, psi.amps, psi.hbar
     dx = grid.dx
     x, p = _axes(grid, hbar)
     dens = np.abs(a) ** 2
     norm = float(np.trapezoid(dens, dx=dx))
-    if check_norm and abs(norm - 1.0) > 1e-6:
-        raise GridError(f"norm deviates from 1 by {abs(norm - 1.0):.3g}")
+    if abs(norm - 1.0) > 1e-6:
+        raise AliasingError(
+            f"quadrature norm deviates from 1 by {abs(norm - 1.0):.3g}: psi is not "
+            "normalized or its density reached the domain boundary"
+        )
     mean_x = float(np.trapezoid(x * dens, dx=dx)) / norm
     dev = x - mean_x
     vxx = float(np.trapezoid(dev * dev * dens, dx=dx)) / norm
@@ -291,21 +297,18 @@ def _check_input(psi: WaveFn, mw: Optional[float] = None) -> None:
 
 
 def _check_result(psi: WaveFn, mom: Moments) -> None:
+    """Does the mean ± 8σ window of a propagated ψ stay inside the domain?
+    moments() has already checked the norm."""
     sigma_x = math.sqrt(mom.vxx)
     if mom.mean_x - 8.0 * sigma_x < psi.grid.x_min or mom.mean_x + 8.0 * sigma_x > psi.grid.x_max:
         raise AliasingError(
             f"spreading exceeds domain: mean_x ± 8σ = {mom.mean_x:g} ± "
             f"{8.0 * sigma_x:g} leaves [{psi.grid.x_min:g}, {psi.grid.x_max:g}]"
         )
-    if abs(mom.norm - 1.0) > 1e-6:
-        raise AliasingError(
-            f"quadrature norm drifted by {abs(mom.norm - 1.0):.3g}: "
-            "density reached the domain boundary"
-        )
 
 
 def _checked(out: WaveFn) -> WaveFn:
-    _check_result(out, moments(out, check_norm=False))
+    _check_result(out, moments(out))
     return out
 
 
@@ -322,8 +325,8 @@ def propagate_free(psi: WaveFn, m: float, t: float) -> WaveFn:
     """Free evolution: multiply exp(−i p² t/(2mħ)) in momentum space.
 
     Exact up to discretization and unitary (norm preserved to rounding).
-    Raises AliasingError when the momentum support is unresolved or the
-    final 8σ window leaves the domain.
+    Raises AliasingError when the momentum support is unresolved, or the
+    result's norm drifts or its 8σ window leaves the domain.
     """
     if not m > 0:
         raise ValueError(f"m must be > 0, got {m}")
@@ -365,7 +368,8 @@ def propagate_osc_exact(psi: WaveFn, m: float, omega: float, t: float) -> WaveFn
     global phase too, so θ is reduced into [−π, π] and split into at most two
     equal sub-steps (⌈|θ|/(π/2)⌉) to keep tan off its pole at π; each costs
     2 FFTs, whatever t. Raises AliasingError when the input, the chirped
-    intermediate or the final 8σ window is not resolved by the grid.
+    intermediate, the result's norm or its 8σ window is not resolved by the
+    grid.
     """
     if not (m > 0 and omega > 0):
         raise ValueError(f"m and omega must be > 0, got m={m}, omega={omega}")
@@ -414,13 +418,16 @@ class OracleRow:
 
 @dataclass(frozen=True)
 class OracleReport:
-    """Max deviation between grid-oracle moments and the closed-form engine."""
+    """Max deviation between grid-oracle moments and the closed-form engine,
+    and the grid ψ0 was sampled on, which spans every requested time. The
+    report holds no amplitudes: re-sample ψ0 on grid to see it."""
 
     rows: tuple[OracleRow, ...]
     max_moment_dev: float
     max_envelope_dev: float
     tolerance: float
     ok: bool
+    grid: Grid
 
     def render(self) -> str:
         lines = ["t,moment_dev,envelope_dev"]
@@ -498,9 +505,10 @@ def verify_bounds_oracle(
             raise ValueError(f"domain_sigmas = {domain_sigmas} gives no domain: [{x_min}, {x_max}]")
         grid = Grid(x_min, x_max, n)
     src = sample_extremal(spec, mean_x, mean_p, grid, hbar)  # ψ0
-    # Every time starts from ψ0: check it once, as the first propagator run would.
-    routes = [_route(model, t) for t in times]
-    core, args = next((r for r in routes if r[0] is not None), (None, ()))
+    # Every time starts from ψ0: check it once, as the first propagator run
+    # would. Every t is >= 0 (envelope checked it), so the latest one runs a
+    # propagator if any does.
+    core, args = _route(model, max(times))
     if core is not None:
         _check_input(src, args[0] * args[1] if core is _exact else None)
     if core is _free:  # transform ψ0 once, and let its amplitudes go
@@ -524,6 +532,7 @@ def verify_bounds_oracle(
         max_envelope_dev=max_e,
         tolerance=tolerance,
         ok=max_m <= tolerance and max_e <= tolerance,
+        grid=replace(grid),  # equal, without the cached axes: the report holds no array
     )
 
 

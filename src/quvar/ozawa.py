@@ -104,10 +104,13 @@ def interaction_map(k: float, tau: float) -> np.ndarray:
     The unit-coupling generator G = interaction_generator(1.0) squares to
     −3·I (block by block), so exp(kτ·G) = cos(√3 kτ)·I + sin(√3 kτ)/√3 · G.
     At kτ = π/(3√3) the position block is [[1, −1], [1, 0]] and the momentum
-    block is its inverse transpose [[0, −1], [1, 1]].
+    block is its inverse transpose [[0, −1], [1, 1]]. A dose √3·k·τ that is
+    not finite raises ValueError.
     """
     gen1 = interaction_generator(1.0)
     s = math.sqrt(3.0) * k * tau
+    if not math.isfinite(s):
+        raise ValueError(f"coupling dose is not finite: sqrt(3)*k*tau = {s}, k = {k}, tau = {tau}")
     # np.diag, not cos·eye: its off-diagonal zeros stay +0.0 when cos < 0.
     return math.sin(s) / math.sqrt(3.0) * gen1 + np.diag([math.cos(s)] * 4)
 
@@ -217,6 +220,11 @@ def _model(system: dict) -> SystemModel:
         raise ConfigError("system", str(exc)) from exc
 
 
+def _meter_error(exc: ValueError) -> ConfigError:
+    """exc, raised in a bounds function's terms vxx0 and vpp0, named in the meter's fields."""
+    return ConfigError("meter_variances", str(exc).replace("vxx0", "vyy0").replace("vpp0", "vpp_y0"))
+
+
 # Each field as the run holds it, from its JSON value (3.0 is an integer; "auto" is None).
 _FIELDS = dict(k=float, tau=float, N=int, Omega=float, delta_tau=float, seed=int, hbar=float,
                T=lambda t: None if t in (None, "auto") else float(t), system=_model,
@@ -267,11 +275,14 @@ class OzawaConfig:
             object.__setattr__(self, name, held(raw[name]))
         if self.system._hbar(self.hbar) != self.hbar:
             raise ConfigError("hbar", "must be 1 for a dimensionless oscillator system")
+        try:  # the coupling map's own check of the dose k·τ
+            interaction_map(self.k, self.tau)
+        except ValueError as exc:
+            raise ConfigError("tau", str(exc)) from exc
         try:
             meter = self.meter_state()
-        except ValueError as exc:  # named in sqrt_uncertainty_excess's terms: vxx0, vpp0
-            msg = str(exc).replace("vxx0", "vyy0").replace("vpp0", "vpp_y0")
-            raise ConfigError("meter_variances", msg) from exc
+        except ValueError as exc:
+            raise _meter_error(exc) from exc
         if not math.isfinite(meter.vxp):  # 4·vyy0·vpp_y0 overflowed, for any T
             raise ConfigError(
                 "meter_variances", f"sqrt(4*vyy0*vpp_y0 - hbar^2) overflows: vxp = {meter.vxp}"
@@ -317,7 +328,10 @@ class OzawaConfig:
         """Time the collapsed system stays at or below the meter's vxx."""
         vyy0, vpp_y0 = self.meter_variances
         if isinstance(self.system, FreeMass):
-            return contraction_time_free(vyy0, vpp_y0, self.system.m, self.hbar)
+            try:
+                return contraction_time_free(vyy0, vpp_y0, self.system.m, self.hbar)
+            except ValueError as exc:  # t_M overflows
+                raise _meter_error(exc) from exc
         if self.system.omega == 0.0:
             raise ConfigError("system", "auto schedule undefined for omega = 0")
         # Rotation: the horizon is a phase of the quadratures x = √(s/ħ)·X.

@@ -156,6 +156,22 @@ class TestContractionTimeFree:
         with pytest.raises(ValueError, match=message):
             contraction_time_free(vxx0, vpp0, m, 1.0)
 
+    @pytest.mark.parametrize(
+        "vxx0, vpp0, m, product",
+        [
+            (1.0, 1.0, math.inf, "inf * 1.7320508075688772"),  # m/vpp0 overflows
+            (1e300, 1e300, 1.0, "1e-300 * inf"),  # 4·vxx0·vpp0, so the root, overflows
+            (1e10, 1e-10, 1e308, "inf * 1.7320508075688772"),
+            (1e300, 1.0, 1e300, "1e+300 * 2e+150"),  # the product alone overflows
+        ],
+    )
+    def test_an_overflowing_time_is_named(self, vxx0, vpp0, m, product):
+        with pytest.raises(ValueError) as info:
+            contraction_time_free(vxx0, vpp0, m, 1.0)
+        assert str(info.value) == (
+            f"t_M = (m/vpp0)*sqrt(4*vxx0*vpp0 - hbar^2) is {product} = inf, not finite"
+        )
+
 
 class TestOscillatorBounds:
     def test_quarter_period_swap(self):

@@ -16,7 +16,19 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import quvar
-from quvar import ConfigError, GridError, OzawaConfig, _fanout, cli, run_protocol
+from quvar import (
+    ConfigError,
+    ExtremalSpec,
+    FreeMass,
+    GridError,
+    Oscillator,
+    OzawaConfig,
+    _fanout,
+    cli,
+    run_protocol,
+    sample_extremal,
+    verify_bounds_oracle,
+)
 from quvar.cli import main
 
 SQRT3 = math.sqrt(3.0)
@@ -302,11 +314,20 @@ class TestExtremal:
     @pytest.mark.parametrize(
         "argv, message",
         [
-            (["--mean-x", "inf"], "state.mean_x = inf"),
-            (["--mean-p", "nan"], "state.mean_p = nan"),
-            # Finite inputs whose width, moments and squeeze labels overflow.
-            (["--vxx0", "1e300", "--vpp0", "1e300"], "width.im = inf"),
-            (["--system", "free", "--m", "inf"], "t_contract = inf"),
+            (["--mean-x", "inf"], "extremal record is not finite: state.mean_x = inf"),
+            (["--mean-p", "nan"], "extremal record is not finite: state.mean_p = nan"),
+            # Finite inputs whose width and contraction time overflow: the
+            # library names them before the record is built.
+            (
+                ["--vxx0", "1e300", "--vpp0", "1e300"],
+                "width (hbar + i*sign*sqrt(4*vxx0*vpp0 - hbar^2))/(2*vxx0) overflows: "
+                "w = (5e-301+infj)",
+            ),
+            (
+                ["--system", "free", "--m", "inf"],
+                "t_M = (m/vpp0)*sqrt(4*vxx0*vpp0 - hbar^2) is inf * 1.7320508075688772 = inf, "
+                "not finite",
+            ),
         ],
     )
     def test_non_finite_record_exits_2_before_any_output(self, capsys, tmp_path, argv, message):
@@ -314,7 +335,7 @@ class TestExtremal:
         for extra in ([], ["--output", str(path)]):
             code, out, err = run_cli(capsys, "extremal", *argv, *extra)
             assert (code, out) == (2, "")
-            assert err == f"extremal record is not finite: {message}\n"
+            assert err == f"{message}\n"
         assert not path.exists()
 
     def test_overflowing_intermediate_exits_2(self, capsys):
@@ -371,6 +392,33 @@ class TestOracle:
         code, _, err = run_cli(capsys, "oracle", "--times", ",")
         assert code == 2
         assert "non-empty" in err
+
+    @pytest.mark.parametrize(
+        "argv, model, times, means",
+        [
+            ([], FreeMass(1.0), None, (0.0, 0.0)),
+            (
+                ["--system", "osc", "--m", "1.3", "--omega", "0.7", "--mean-x", "0.4",
+                 "--times", "0.5,1.5", "--n", "4096"],
+                Oscillator(1.3, 0.7), [0.5, 1.5], (0.4, 0.0),
+            ),
+        ],
+    )
+    def test_dump_psi_is_psi0_on_the_oracles_grid(self, capsys, tmp_path, argv, model, times, means):
+        path = tmp_path / "psi.csv"
+        code, out, _ = run_cli(capsys, "oracle", *argv, "--dump-psi", str(path))
+        assert code == 0
+        if times is None:  # the default grid: --steps 4 up to --t-max √3
+            times = cli._time_grid(argparse.Namespace(t_max=math.sqrt(3.0), steps=4))
+        spec = ExtremalSpec.from_variances(1.0, 1.0)
+        n = 4096 if argv else 2**14
+        report = verify_bounds_oracle(spec, model, times, *means, n=n)
+        assert out == report.render() + "\n"
+        rows = [line.split(",") for line in path.read_text().splitlines()[1:]]
+        x = np.array([float(row[0]) for row in rows])
+        assert x.tobytes() == report.grid.points().tobytes()
+        psi = sample_extremal(spec, *means, report.grid)
+        assert [complex(float(re), float(im)) for _, re, im, _ in rows] == psi.amps.tolist()
 
     def test_dump_psi(self, capsys, tmp_path):
         path = tmp_path / "psi.csv"
@@ -632,6 +680,31 @@ class TestOzawa:
         code, _, err = run_cli(capsys, "ozawa", "--config", str(path))
         assert code == 2
         assert "horizon" in err
+
+    def test_an_overflowing_auto_horizon_exits_2_naming_the_meter(self, capsys, tmp_path):
+        # t_M = (m/vpp_y0)·√3 overflows; the run used to fail in round 1 with exit 1.
+        raw = json.loads(open(REFERENCE_CONFIG).read())
+        raw.update(system={"variant": "free_mass", "m": 1e308},
+                   meter_variances={"vyy0": 1e10, "vpp_y0": 1e-10}, T="auto")
+        path = tmp_path / "horizon.json"
+        path.write_text(json.dumps(raw))
+        code, out, err = run_cli(capsys, "ozawa", "--config", str(path))
+        assert (code, out, err) == (
+            2, "", "invalid config: meter_variances: t_M = (m/vpp_y0)*sqrt(4*vyy0*vpp_y0 - hbar^2) "
+                   "is inf * 1.7320508075688772 = inf, not finite\n",
+        )
+
+    def test_an_overflowing_coupling_dose_exits_2_before_any_warning(self, capsys, tmp_path):
+        # √3·k·τ = inf used to reach math.sin: three warnings, then exit 1.
+        raw = json.loads(open(REFERENCE_CONFIG).read())
+        raw.update(k=1e300, tau=1e10)
+        path = tmp_path / "dose.json"
+        path.write_text(json.dumps(raw))
+        code, out, err = run_cli(capsys, "ozawa", "--config", str(path))
+        assert (code, out, err) == (
+            2, "", "invalid config: tau: coupling dose is not finite: sqrt(3)*k*tau = inf, "
+                   "k = 1e+300, tau = 10000000000.0\n",
+        )
 
     def test_auto_schedule_of_a_zero_frequency_exits_2(self, capsys, tmp_path):
         raw = json.loads(open(REFERENCE_CONFIG).read())

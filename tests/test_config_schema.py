@@ -156,6 +156,9 @@ def cross_field_breaks(raw) -> set[str]:
             broken.add("T")
     if raw["system"]["variant"] == "dimensionless_oscillator" and hbar != 1.0:
         broken.add("hbar")
+    # The coupling dose √3·k·τ must be finite (interaction_map's own check).
+    if not math.isfinite(math.sqrt(3.0) * float(raw["k"]) * float(raw["tau"])):
+        broken.add("tau")
     if raw["system"]["variant"] == "oscillator":
         mw = float(raw["system"]["m"]) * float(raw["system"]["omega"])
         if not 0.0 < mw * mw < math.inf:
@@ -198,6 +201,7 @@ def changed(*path_and_value):
 @example(changed("system", {"variant": "oscillator", "m": 1e-300, "omega": 1e-3}))
 @example(dict(changed("T", 1e10), system={"variant": "free_mass", "m": 1e-300}))
 @example(dict(changed("T", 1e10), system={"variant": "dimensionless_oscillator", "omega": 1e300}))
+@example(dict(changed("k", 1e300), tau=1e10))
 @settings(max_examples=1000, deadline=None)
 @given(configs())
 def test_schema_and_validator_agree(raw):

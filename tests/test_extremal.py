@@ -63,6 +63,22 @@ class TestComplexWidth:
         with pytest.raises(ValueError, match="sign"):
             complex_width_from_variances(1.0, 1.0, 1.0, 2)
 
+    @pytest.mark.parametrize(
+        "vxx0, vpp0, hbar, width",
+        [
+            (1e300, 1e300, 1.0, "(5e-301+infj)"),  # 4·vxx0·vpp0 overflows, so Im w does
+            (5e-324, math.inf, 0.8, "(inf+infj)"),  # and ħ/(2·vxx0) with it
+        ],
+    )
+    def test_an_overflowing_width_is_named(self, vxx0, vpp0, hbar, width):
+        message = (
+            f"width (hbar + i*sign*sqrt(4*vxx0*vpp0 - hbar^2))/(2*vxx0) overflows: w = {width}"
+        )
+        for build in (complex_width_from_variances, ExtremalSpec.from_variances):
+            with pytest.raises(ValueError) as info:
+                build(vxx0, vpp0, hbar, 1)
+            assert str(info.value) == message
+
     def test_variances_of_a_left_half_plane_width_rejected(self):
         with pytest.raises(ValueError) as info:
             variances_from_complex_width(-1.0 + 0.5j)

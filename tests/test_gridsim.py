@@ -130,6 +130,63 @@ class TestMoments:
             moments(bad)
 
 
+NORM_DRIFT = (
+    "quadrature norm deviates from 1 by 0.21: psi is not normalized or its density "
+    "reached the domain boundary"
+)
+
+
+def drifting(core):
+    """core with its result scaled by 1.1: the norm drifts by 0.21. Neither
+    real core drifts (both are unitary on the grid), so this stands in."""
+
+    def scaled(*args):
+        out = core(*args)
+        return WaveFn(grid=out.grid, amps=out.amps * 1.1, hbar=out.hbar)
+
+    return scaled
+
+
+class TestNormCheck:
+    @pytest.mark.parametrize(
+        "core, run",
+        [
+            ("_free", lambda psi: propagate_free(psi, 1.0, 0.5)),
+            ("_exact", lambda psi: propagate_osc_exact(psi, 1.0, 1.0, 0.5)),
+            ("_free", lambda psi: verify_bounds_oracle(CONTRACTIVE, FreeMass(1.0), [0.5], n=2**10)),
+            ("_exact", lambda psi: verify_bounds_oracle(
+                CONTRACTIVE, Oscillator(1.0, 1.0), [0.0, 0.5], n=2**10)),
+        ],
+    )
+    def test_a_drifting_result_raises_the_one_norm_check(self, monkeypatch, core, run):
+        monkeypatch.setattr(gridsim, core, drifting(getattr(gridsim, core)))
+        psi = sample_extremal(CONTRACTIVE, 0.0, 0.0, desk_grid(n=2**10), 1.0)
+        with pytest.raises(GridError) as info:
+            run(psi)
+        assert type(info.value) is AliasingError
+        assert str(info.value) == NORM_DRIFT
+
+    @pytest.mark.parametrize(
+        "run",
+        [lambda psi: propagate_free(psi, 1.0, 0.5), lambda psi: propagate_osc_exact(psi, 1.0, 1.0, 0.5)],
+    )
+    def test_an_unnormalized_input_raises_the_same_check(self, run):
+        psi = sample_extremal(CONTRACTIVE, 0.0, 0.0, desk_grid(n=2**10), 1.0)
+        with pytest.raises(GridError) as info:
+            run(WaveFn(grid=psi.grid, amps=psi.amps * 1.1, hbar=psi.hbar))
+        assert type(info.value) is AliasingError
+        assert str(info.value) == NORM_DRIFT
+
+    def test_the_norm_is_checked_before_the_window(self, monkeypatch):
+        # A result that both drifts and leaves the domain names the norm, on
+        # the public propagator as in the oracle's rows.
+        psi = sample_extremal(MINIMAL_SPREADING, 0.0, 0.0, Grid.centered(0.0, 4.05, 2**10), 1.0)
+        monkeypatch.setattr(gridsim, "_free", drifting(gridsim._free))
+        with pytest.raises(AliasingError) as info:
+            propagate_free(psi, 1.0, 1.5)
+        assert str(info.value) == NORM_DRIFT
+
+
 class TestPropagateFree:
     def test_t0_is_identity(self):
         psi = sample_extremal(CONTRACTIVE, 0.3, 0.2, desk_grid(), 1.0)
@@ -392,14 +449,29 @@ class TestOracleBitIdentity:
         calls = []
         real = gridsim.moments
 
-        def counting(psi, check_norm=True):
-            calls.append(check_norm)
-            return real(psi, check_norm)
+        def counting(psi):
+            calls.append(psi)
+            return real(psi)
 
         monkeypatch.setattr(gridsim, "moments", counting)
         spec = ExtremalSpec.from_variances(0.9, 1.1, model._hbar(hbar), 1)
         verify_bounds_oracle(spec, model, times, hbar=hbar, n=1024)
         assert len(calls) == len(times) + 1
+
+    @pytest.mark.parametrize("model, hbar, times", ORACLE_CASES)
+    def test_one_route_pick_before_the_rows(self, monkeypatch, model, hbar, times):
+        calls = []
+        real = gridsim._route
+
+        def counting(model, t):
+            calls.append(t)
+            return real(model, t)
+
+        monkeypatch.setattr(gridsim, "_route", counting)
+        spec = ExtremalSpec.from_variances(0.9, 1.1, model._hbar(hbar), 1)
+        verify_bounds_oracle(spec, model, times, hbar=hbar, n=1024)
+        # One pick of ψ0's input check, then one per row's propagation.
+        assert calls == [max(times), *times]
 
     @pytest.mark.parametrize("model, hbar, times", ORACLE_CASES)
     def test_one_envelope_call_per_run(self, monkeypatch, model, hbar, times):

@@ -3,11 +3,10 @@ or ExtremalSpec.from_variances() called directly.
 
 Each call returns finite numbers or raises a typed error, a ValueError
 (GridError and the state errors among them) or an ArithmeticError, with
-every RuntimeWarning made an error. The contraction time and the extremal
-width may be inf, which the CLI's record check names, but never NaN. The
-CLI's own no-escape properties live in test_cli.py; these hold the library
-entry points behind it. Grids stay at n <= 1024, so every oracle run takes
-the serial path.
+every RuntimeWarning made an error: the contraction time and the extremal
+width are finite too, or their overflow is named. The CLI's own no-escape
+properties live in test_cli.py; these hold the library entry points behind
+it. Grids stay at n <= 1024, so every oracle run takes the serial path.
 """
 
 import math
@@ -89,16 +88,20 @@ DOUBLE_OVERFLOW = _args(vxx0=1e200, vpp0=1e200, hbar=1e200)
 
 
 @example(args=DOUBLE_OVERFLOW)
+@example(args=_args(m=math.inf))  # m/vpp0 overflows: t_M was inf
+@example(args=_args(vxx0=1e300, vpp0=1e300, hbar=1.0))  # so does the root
 @settings(max_examples=300)
 @given(args=inputs("m", "hbar", "vxx0", "vpp0"))
 def test_contraction_time_is_a_non_negative_number_or_a_typed_error(args):
     t = outcome(lambda: contraction_time_free(args["vxx0"], args["vpp0"], args["m"], args["hbar"]))
-    assert t is None or t >= 0, t  # NaN fails the comparison
+    assert t is None or 0 <= t < math.inf, t  # NaN fails the comparison
 
 
 @example(sign=1, args=DOUBLE_OVERFLOW)
 # Re w = ħ/(2·vxx0) overflows to inf, where the state's vpp was inf/inf = NaN.
 @example(sign=1, args=_args(vxx0=5e-324, vpp0=math.inf))
+# Im w = √(4·vxx0·vpp0 − ħ²)/(2·vxx0) overflows, where the width was 5e-301-infj.
+@example(sign=-1, args=_args(vxx0=1e300, vpp0=1e300, hbar=1.0))
 @settings(max_examples=300)
 @given(sign=st.sampled_from([1, -1]), args=inputs("hbar", "vxx0", "vpp0"))
 def test_extremal_width_and_state_have_no_nan_or_a_typed_error(sign, args):
@@ -110,7 +113,8 @@ def test_extremal_width_and_state_have_no_nan_or_a_typed_error(sign, args):
     if built is None:
         return
     spec, state = built
-    values = [spec.width.real, spec.width.imag, state.vxx, state.vpp, state.vxp]
+    assert math.isfinite(spec.width.real) and math.isfinite(spec.width.imag), spec
+    values = [state.vxx, state.vpp, state.vxp]
     assert not any(math.isnan(v) for v in values), (spec, state)
 
 

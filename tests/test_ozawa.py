@@ -143,6 +143,14 @@ class TestInteractionMap:
             M = interaction_map(rng.uniform(0.0, 5.0), rng.uniform(0.0, 3.0))
             assert symplectic_defect(M) <= 1e-12
 
+    @pytest.mark.parametrize("k, tau", [(1e300, 1e10), (math.inf, 1.0), (1.0, math.nan)])
+    def test_a_dose_that_is_not_finite_is_named(self, k, tau):
+        with pytest.raises(ValueError) as info:
+            interaction_map(k, tau)
+        assert str(info.value) == (
+            f"coupling dose is not finite: sqrt(3)*k*tau = {SQRT3 * k * tau}, k = {k}, tau = {tau}"
+        )
+
     def test_zero_duration_identity(self):
         np.testing.assert_array_equal(interaction_map(1.7, 0.0), np.eye(4))
 
@@ -385,6 +393,26 @@ class TestConfig:
         cfg = base_config(meter_variances=(0.5, 0.5))
         with pytest.raises(ConfigError, match="horizon"):
             cfg.period()
+
+    def test_an_overflowing_dose_is_rejected_by_the_coupling_maps_check(self):
+        with pytest.raises(ConfigError) as err:
+            base_config(k=1e300, tau=1e10)
+        assert err.value.field == "tau"
+        assert str(err.value) == (
+            "tau: coupling dose is not finite: sqrt(3)*k*tau = inf, k = 1e+300, tau = 10000000000.0"
+        )
+
+    def test_an_overflowing_auto_horizon_names_the_meter(self):
+        # (m/vpp_y0)·√(4·vyy0·vpp_y0 − ħ²) = inf·√3: the run cannot schedule T.
+        cfg = base_config(system=FreeMass(m=1e308), meter_variances=(1e10, 1e-10))
+        for call in (cfg.period, lambda: run_protocol(cfg)):
+            with pytest.raises(ConfigError) as err:
+                call()
+            assert err.value.field == "meter_variances"
+            assert str(err.value) == (
+                "meter_variances: t_M = (m/vpp_y0)*sqrt(4*vyy0*vpp_y0 - hbar^2) "
+                "is inf * 1.7320508075688772 = inf, not finite"
+            )
 
     def test_from_dict_roundtrip(self):
         raw = {
