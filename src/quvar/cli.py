@@ -296,11 +296,8 @@ def build_parser() -> argparse.ArgumentParser:
     po.add_argument("--n", type=int, default=2**14)
     po.add_argument("--domain-sigmas", type=float, default=40.0)
     po.add_argument("--tolerance", type=float, default=1e-8)
-    po.add_argument(
-        "--dump-psi",
-        default=None,
-        help="write the initial psi as CSV on the oracle's grid, which spans every requested time",
-    )
+    po.add_argument("--dump-psi", default=None,
+                    help="write the initial psi as CSV on the oracle's grid (spans every time)")
     po.set_defaults(func=_cmd_oracle)
 
     pz = sub.add_parser("ozawa", help="repeated-measurement protocol trace as CSV")

@@ -505,9 +505,8 @@ def verify_bounds_oracle(
             raise ValueError(f"domain_sigmas = {domain_sigmas} gives no domain: [{x_min}, {x_max}]")
         grid = Grid(x_min, x_max, n)
     src = sample_extremal(spec, mean_x, mean_p, grid, hbar)  # ψ0
-    # Every time starts from ψ0: check it once, as the first propagator run
-    # would. Every t is >= 0 (envelope checked it), so the latest one runs a
-    # propagator if any does.
+    # Every time starts from ψ0: check it once, as the first propagator run would.
+    # Every t is >= 0 (envelope checked), so the latest runs one if any does.
     core, args = _route(model, max(times))
     if core is not None:
         _check_input(src, args[0] * args[1] if core is _exact else None)

@@ -222,7 +222,8 @@ def _model(system: dict) -> SystemModel:
 
 def _meter_error(exc: ValueError) -> ConfigError:
     """exc, raised in a bounds function's terms vxx0 and vpp0, named in the meter's fields."""
-    return ConfigError("meter_variances", str(exc).replace("vxx0", "vyy0").replace("vpp0", "vpp_y0"))
+    msg = str(exc).replace("vxx0", "vyy0").replace("vpp0", "vpp_y0")
+    return ConfigError("meter_variances", msg)
 
 
 # Each field as the run holds it, from its JSON value (3.0 is an integer; "auto" is None).

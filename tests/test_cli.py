@@ -404,7 +404,9 @@ class TestOracle:
             ),
         ],
     )
-    def test_dump_psi_is_psi0_on_the_oracles_grid(self, capsys, tmp_path, argv, model, times, means):
+    def test_dump_psi_is_psi0_on_the_oracles_grid(
+        self, capsys, tmp_path, argv, model, times, means
+    ):
         path = tmp_path / "psi.csv"
         code, out, _ = run_cli(capsys, "oracle", *argv, "--dump-psi", str(path))
         assert code == 0

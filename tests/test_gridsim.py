@@ -168,7 +168,10 @@ class TestNormCheck:
 
     @pytest.mark.parametrize(
         "run",
-        [lambda psi: propagate_free(psi, 1.0, 0.5), lambda psi: propagate_osc_exact(psi, 1.0, 1.0, 0.5)],
+        [
+            lambda psi: propagate_free(psi, 1.0, 0.5),
+            lambda psi: propagate_osc_exact(psi, 1.0, 1.0, 0.5),
+        ],
     )
     def test_an_unnormalized_input_raises_the_same_check(self, run):
         psi = sample_extremal(CONTRACTIVE, 0.0, 0.0, desk_grid(n=2**10), 1.0)

@@ -365,6 +365,8 @@ class TestConfig:
             (dict(system=Oscillator(m=1e-300, omega=1e300), T=1e10), "T"),
             # A finite flow that makes the meter covariance M·V·Mᵀ overflow.
             (dict(system=FreeMass(m=1e-150), T=1e10), "T"),
+            # A finite k and τ whose dose √3·k·τ overflows (interaction_map's check).
+            (dict(k=1e300, tau=1e10), "tau"),
         ],
     )
     def test_violations_name_the_field(self, overrides, field):
@@ -393,14 +395,6 @@ class TestConfig:
         cfg = base_config(meter_variances=(0.5, 0.5))
         with pytest.raises(ConfigError, match="horizon"):
             cfg.period()
-
-    def test_an_overflowing_dose_is_rejected_by_the_coupling_maps_check(self):
-        with pytest.raises(ConfigError) as err:
-            base_config(k=1e300, tau=1e10)
-        assert err.value.field == "tau"
-        assert str(err.value) == (
-            "tau: coupling dose is not finite: sqrt(3)*k*tau = inf, k = 1e+300, tau = 10000000000.0"
-        )
 
     def test_an_overflowing_auto_horizon_names_the_meter(self):
         # (m/vpp_y0)·√(4·vyy0·vpp_y0 − ħ²) = inf·√3: the run cannot schedule T.
