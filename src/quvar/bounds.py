@@ -203,9 +203,12 @@ def contraction_phase_osc(vxx0: float, vpp0: float) -> float:
     ωt_M′ = atan2(√(4·vxx0·vpp0 − 1), vpp0 − vxx0). The two-argument branch is
     deliberate: it stays in (0, π) also for vpp0 < vxx0, where the principal
     arctangent would go negative. A minimal uncertainty product admits no
-    contraction and is reported as a zero horizon.
+    contraction and is reported as a zero horizon. A 4·vxx0·vpp0 that
+    overflows raises ValueError: atan2(inf, ·) is π/2 or 3π/4, not the phase.
     """
     s = sqrt_uncertainty_excess(vxx0, vpp0, 1.0)
+    if s == math.inf:
+        raise ValueError(f"sqrt(4*vxx0*vpp0 - 1) overflows: vxx0 = {vxx0}, vpp0 = {vpp0}")
     if s == 0.0:
         return 0.0
     return math.atan2(s, vpp0 - vxx0)

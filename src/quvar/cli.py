@@ -248,8 +248,6 @@ def _cmd_ozawa(args) -> int:
         print(f"warning: {w}", file=sys.stderr)
     try:
         trace = run_protocol(config)
-    except ConfigError:  # e.g. auto schedule with a zero-horizon (minimal-uncertainty) meter
-        raise
     except (ValueError, RuntimeError) as exc:
         print(f"protocol failed: {exc}", file=sys.stderr)
         return EXIT_VERIFY

@@ -256,10 +256,14 @@ def validate_state(state: GaussianState, config: PhysConfig = PhysConfig()) -> V
     return ValidationReport(ok=not violations, violations=tuple(violations), sr_margin=margin)
 
 
-def _require_valid(state: GaussianState, model: SystemModel, config: PhysConfig) -> None:
-    report = validate_state(state, PhysConfig(model._hbar(config.hbar)))
+def _require_valid(state: GaussianState, hbar: float, name: str = "") -> ValidationReport:
+    """validate_state's report on a valid state; an invalid one raises
+    StateValidationError with the violations, after "invalid NAME state: " if named."""
+    report = validate_state(state, PhysConfig(hbar))
     if not report.ok:
-        raise StateValidationError("; ".join(report.violations))
+        prefix = f"invalid {name} state: " if name else ""
+        raise StateValidationError(prefix + "; ".join(report.violations))
+    return report
 
 
 def flow_map(model: SystemModel, t: float) -> np.ndarray:
@@ -286,7 +290,7 @@ def evolve(
     Raises StateValidationError if the input state is invalid, and a
     ValueError naming t if t or the evolved moments are not finite.
     """
-    _require_valid(state, model, config)
+    _require_valid(state, model._hbar(config.hbar))
     if not math.isfinite(t):
         raise ValueError(f"t must be finite, got {t}")
     M = model._flow(t)
@@ -313,7 +317,7 @@ def variance_x_closed_form(
     independent cross-check path. Raises a ValueError naming t, as evolve
     does, if t or the variance is not finite.
     """
-    _require_valid(state, model, config)
+    _require_valid(state, model._hbar(config.hbar))
     if not math.isfinite(t):
         raise ValueError(f"t must be finite, got {t}")
     with np.errstate(all="ignore"):  # an overflow is named below, not warned about

@@ -59,7 +59,6 @@ from .gaussian import (
     _require_valid,
     evolve,
     flow_map,
-    validate_state,
 )
 from .ozawa import TwoModeGaussian, interaction_map
 
@@ -397,9 +396,7 @@ def _propagate(src: WaveFn, model: SystemModel, t: float) -> WaveFn:
 
 
 def _spec_from_state(state: GaussianState, hbar: float) -> ExtremalSpec:
-    report = validate_state(state, PhysConfig(hbar))
-    if not report.ok:
-        raise ValueError("; ".join(report.violations))
+    report = _require_valid(state, hbar)
     if abs(report.sr_margin) > 1e-9 * max(hbar * hbar, state.vxx * state.vpp):
         raise ValueError(
             "grid oracle requires a pure Gaussian state (Schrodinger-Robertson "
@@ -484,7 +481,7 @@ def verify_bounds_oracle(
         spec = target
     state0 = gaussian_from_extremal(spec, mean_x, mean_p, hbar)
     config = PhysConfig(hbar)
-    _require_valid(state0, model, config)
+    _require_valid(state0, hbar)
 
     times = [float(t) for t in times]
     if not times:

@@ -238,6 +238,16 @@ class TestContractionPhaseOsc:
     def test_minimal_product_zero_horizon(self):
         assert contraction_phase_osc(0.5, 0.5) == 0.0
 
+    @pytest.mark.parametrize("vxx0, vpp0", [(1e200, 1e150), (math.inf, 1e110)])
+    def test_an_overflowing_product_raises(self, vxx0, vpp0):
+        # √(4·vxx0·vpp0 − 1) is inf, and atan2(inf, vpp0 − vxx0) is π/2 or 3π/4.
+        # At (1e200, 1e150) the phase is π − 2e-25 (40-digit mpmath).
+        with pytest.raises(ValueError) as info:
+            contraction_phase_osc(vxx0, vpp0)
+        assert str(info.value) == (
+            f"sqrt(4*vxx0*vpp0 - 1) overflows: vxx0 = {vxx0}, vpp0 = {vpp0}"
+        )
+
 
 class TestSqlReference:
     def test_values(self):

@@ -718,6 +718,30 @@ class TestOzawa:
         assert err == "invalid config: system: auto schedule undefined for omega = 0\n"
 
     @pytest.mark.parametrize(
+        "changes, message",
+        [
+            # phase/ω overflows: this printed a timing-jitter warning (δτ·k = 0.6),
+            # then "protocol failed: phase omega*t is not finite at t = inf", exit 1.
+            (dict(system={"variant": "dimensionless_oscillator", "omega": 5e-324},
+                  delta_tau=1e-3),
+             "T: phase omega*t is not finite at t = inf"),
+            # vyy0·mω/ħ overflows in quadratures: the run failed in round 2 with
+            # "invalid posterior state", exit 1.
+            (dict(system={"variant": "oscillator", "m": 1e100, "omega": 1.0}, hbar=1e-210),
+             "meter_variances: in quadrature units, "
+             "sqrt(4*vxx0*vpp0 - 1) overflows: vxx0 = inf, vpp0 = 1e+110"),
+        ],
+    )
+    def test_an_unschedulable_auto_horizon_exits_2_before_any_warning(
+        self, capsys, tmp_path, changes, message
+    ):
+        raw = dict(json.loads(open(REFERENCE_CONFIG).read()), T="auto", **changes)
+        path = tmp_path / "auto.json"
+        path.write_text(json.dumps(raw))
+        code, out, err = run_cli(capsys, "ozawa", "--config", str(path))
+        assert (code, out, err) == (2, "", f"invalid config: {message}\n")
+
+    @pytest.mark.parametrize(
         "system",
         [{"variant": "free_mass", "m": 1e-300},
          {"variant": "dimensionless_oscillator", "omega": 1e300},

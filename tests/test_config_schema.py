@@ -24,7 +24,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from quvar import FreeMass, OzawaConfig
+from quvar import FreeMass, OzawaConfig, PhysConfig, run_protocol, validate_state
 from quvar.cli import main
 from quvar.ozawa import ConfigError
 
@@ -133,13 +133,41 @@ def cross_field_breaks(raw) -> set[str]:
     # Products overflow to inf where ** raises; an overflowing margin is broken too.
     if not quarter <= vxx * vpp - vxp * vxp < math.inf:
         broken.add("initial_system")
-    if isinstance(raw.get("T"), (int, float)):
-        system, wait = raw["system"], float(raw["T"]) - float(raw["tau"])
+    system, T, tau = raw["system"], raw.get("T"), float(raw["tau"])
+    vyy0, vpp_y0 = float(meter["vyy0"]), float(meter["vpp_y0"])
+    if system["variant"] == "oscillator":
+        mw = float(system["m"]) * float(system["omega"])
+        if not 0.0 < mw * mw < math.inf:
+            broken.add("system")
+    if T in (None, "auto") and not broken & {"meter_variances", "system"}:
+        # The auto schedule sets T = τ + the meter's contraction horizon: t_M
+        # for a free mass, else the phase of the quadratures (scale mω/ħ)
+        # over ω. The horizon must be defined (ω ≠ 0, no over- or underflow
+        # in the quadratures), finite for a free mass, and nonzero; an
+        # oscillator's phase/ω may still overflow, which the T rule names.
+        if system["variant"] == "free_mass":
+            t_m = float(system["m"]) / vpp_y0 * math.sqrt(max(excess, 0.0))
+            horizon = t_m if t_m < math.inf else math.nan
+        elif float(system["omega"]) == 0.0:
+            broken.add("system")
+        else:
+            mw = mw if system["variant"] == "oscillator" else 1.0
+            v_x, v_p = vyy0 * mw / float(hbar), vpp_y0 / (mw * float(hbar))
+            s = math.sqrt(max(4.0 * v_x * v_p - 1.0, 0.0)) if v_x > 0 and v_p > 0 else math.inf
+            phase = math.atan2(s, v_p - v_x) if 0.0 < s < math.inf else math.nan if s else 0.0
+            horizon = phase / float(system["omega"])
+        if "system" in broken:
+            pass
+        elif not horizon > 0.0:  # undefined (NaN) or zero
+            broken.add("meter_variances")
+        else:
+            T = tau + horizon
+    if isinstance(T, (int, float)):
+        wait = float(T) - tau
         # The meter covariance must stay finite over T − τ under the free flow:
         # the shear (T − τ)/m, or the rotation by ω(T − τ) at scale mω (1 if
         # dimensionless), whose phase must itself be finite.
-        vyy0, vpp_y0 = float(meter["vyy0"]), float(meter["vpp_y0"])
-        vxp = -0.5 * math.sqrt(max(4.0 * vyy0 * vpp_y0 - float(hbar) * float(hbar), 0.0))
+        vxp = -0.5 * math.sqrt(max(excess, 0.0))
         with np.errstate(all="ignore"):
             if system["variant"] == "free_mass":
                 flow = np.array([[1.0, wait / float(system["m"])], [0.0, 1.0]])
@@ -152,17 +180,13 @@ def cross_field_breaks(raw) -> set[str]:
                 c, s = (math.cos(theta), math.sin(theta)) if finite else (math.nan, math.nan)
                 flow = np.array([[c, s / mw], [-mw * s, c]])
             cov = flow @ np.array([[vyy0, vxp], [vxp, vpp_y0]]) @ flow.T
-        if not (raw["T"] > raw["tau"] and np.isfinite(cov).all()):
+        if not (float(T) > tau and np.isfinite(cov).all()):
             broken.add("T")
-    if raw["system"]["variant"] == "dimensionless_oscillator" and hbar != 1.0:
+    if system["variant"] == "dimensionless_oscillator" and hbar != 1.0:
         broken.add("hbar")
     # The coupling dose √3·k·τ must be finite (interaction_map's own check).
-    if not math.isfinite(math.sqrt(3.0) * float(raw["k"]) * float(raw["tau"])):
+    if not math.isfinite(math.sqrt(3.0) * float(raw["k"]) * tau):
         broken.add("tau")
-    if raw["system"]["variant"] == "oscillator":
-        mw = float(raw["system"]["m"]) * float(raw["system"]["omega"])
-        if not 0.0 < mw * mw < math.inf:
-            broken.add("system")
     return broken
 
 
@@ -202,6 +226,12 @@ def changed(*path_and_value):
 @example(dict(changed("T", 1e10), system={"variant": "free_mass", "m": 1e-300}))
 @example(dict(changed("T", 1e10), system={"variant": "dimensionless_oscillator", "omega": 1e300}))
 @example(dict(changed("k", 1e300), tau=1e10))
+# The auto schedule, checked when the config is built: ω = 0 (system), a phase/ω
+# that overflows (T) and a quadrature rescale that overflows (meter_variances).
+@example(changed("system", {"variant": "dimensionless_oscillator", "omega": 0.0}))
+@example(changed("system", {"variant": "dimensionless_oscillator", "omega": -0.0}))
+@example(changed("system", {"variant": "dimensionless_oscillator", "omega": 5e-324}))
+@example(dict(changed("hbar", 1e-210), system={"variant": "oscillator", "m": 1e100, "omega": 1.0}))
 @settings(max_examples=1000, deadline=None)
 @given(configs())
 def test_schema_and_validator_agree(raw):
@@ -279,6 +309,26 @@ def test_the_constructor_takes_numpy_scalars_pairs_and_json_objects(name, value)
 def test_a_numpy_infinity_is_not_finite():
     with pytest.raises(ConfigError, match="k: must be finite"):
         replace(OzawaConfig.from_dict(REFERENCE), k=np.float32("inf"))
+
+
+@example(changed("system", {"variant": "dimensionless_oscillator", "omega": 0.0}))
+@example(changed("system", {"variant": "dimensionless_oscillator", "omega": 5e-324}))
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(valid_configs(), configs()))
+def test_a_config_that_builds_can_run(raw):
+    # The constructor runs the schedule's one check, for an explicit and an
+    # auto T alike: a built config has a finite period past τ and a valid
+    # meter, and its run raises no ConfigError (it may still fail on its own
+    # numbers, say a covariance that overflows off dose).
+    config = valid_config(raw)
+    assert config.tau < config.period() < math.inf
+    assert validate_state(config.meter_state(), PhysConfig(config.hbar)).ok
+    try:
+        run_protocol(replace(config, N=3))
+    except ConfigError as exc:
+        pytest.fail(f"a built config failed to run: {exc!r}")
+    except (ValueError, RuntimeError):
+        pass
 
 
 @settings(max_examples=200, deadline=None)

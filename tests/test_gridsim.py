@@ -17,6 +17,7 @@ from quvar import (
     GridError,
     Oscillator,
     PhysConfig,
+    StateValidationError,
     contraction_phase_osc,
     evolve,
     flow_map,
@@ -395,6 +396,16 @@ class TestVerifyBoundsOracle:
         mixed = GaussianState(vxx=1.0, vpp=1.0, vxp=0.0)  # product 1 > 1/4
         with pytest.raises(ValueError, match="pure"):
             verify_bounds_oracle(mixed, FreeMass(m=1.0), [0.5])
+
+    def test_an_invalid_state_target_names_its_violations(self):
+        # vxx·vpp − vxp² = 0.19 < ħ²/4: the target fails validation before
+        # the saturation check, with validate_state's words and no prefix.
+        invalid = GaussianState(vxx=1.0, vpp=1.0, vxp=0.9)
+        with pytest.raises(StateValidationError) as info:
+            verify_bounds_oracle(invalid, FreeMass(m=1.0), [0.5])
+        assert str(info.value) == (
+            "Schrodinger-Robertson violated: vxx*vpp - vxp^2 - hbar^2/4 = -0.06 (must be >= 0)"
+        )
 
 
 # (model, ħ passed, times); n = 1024 throughout.

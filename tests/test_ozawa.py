@@ -41,7 +41,7 @@ from quvar import (
     symplectic_defect,
     system_marginal,
 )
-from quvar import _trace, ozawa
+from quvar import _trace, gaussian, ozawa
 from quvar.cli import main
 
 SQRT3 = math.sqrt(3.0)
@@ -392,21 +392,42 @@ class TestConfig:
         assert cfg.contraction_horizon() == pytest.approx(math.pi / 2.0 / 0.5, rel=1e-12)
 
     def test_minimal_meter_has_no_auto_schedule(self):
-        cfg = base_config(meter_variances=(0.5, 0.5))
         with pytest.raises(ConfigError, match="horizon"):
-            cfg.period()
+            base_config(meter_variances=(0.5, 0.5))
 
     def test_an_overflowing_auto_horizon_names_the_meter(self):
         # (m/vpp_y0)·√(4·vyy0·vpp_y0 − ħ²) = inf·√3: the run cannot schedule T.
-        cfg = base_config(system=FreeMass(m=1e308), meter_variances=(1e10, 1e-10))
-        for call in (cfg.period, lambda: run_protocol(cfg)):
-            with pytest.raises(ConfigError) as err:
-                call()
-            assert err.value.field == "meter_variances"
-            assert str(err.value) == (
-                "meter_variances: t_M = (m/vpp_y0)*sqrt(4*vyy0*vpp_y0 - hbar^2) "
-                "is inf * 1.7320508075688772 = inf, not finite"
-            )
+        with pytest.raises(ConfigError) as err:
+            base_config(system=FreeMass(m=1e308), meter_variances=(1e10, 1e-10))
+        assert err.value.field == "meter_variances"
+        assert str(err.value) == (
+            "meter_variances: t_M = (m/vpp_y0)*sqrt(4*vyy0*vpp_y0 - hbar^2) "
+            "is inf * 1.7320508075688772 = inf, not finite"
+        )
+
+    def test_a_tiny_omega_auto_horizon_names_T(self):
+        # The horizon t_M′ = phase/ω overflows at ω = 5e-324, and with it the
+        # wait T − τ, whose flow the schedule check rejects when the config is
+        # built. It used to fail only inside the run.
+        with pytest.raises(ConfigError) as err:
+            base_config(system=DimensionlessOscillator(omega=5e-324))
+        assert str(err.value) == "T: phase omega*t is not finite at t = inf"
+
+    @pytest.mark.parametrize(
+        "system, hbar, want",
+        [
+            # vyy0·mω/ħ = 1e310 overflows in quadratures; the horizon was 3π/4
+            # where it is π, and the run failed with "invalid posterior state".
+            (Oscillator(m=1e100, omega=1.0), 1e-210,
+             "sqrt(4*vxx0*vpp0 - 1) overflows: vxx0 = inf, vpp0 = 1e+110"),
+            # mω·ħ underflows to 0: the run raised ZeroDivisionError, uncaught.
+            (Oscillator(m=1e-77, omega=1e-77), 1e-300, "float division by zero"),
+        ],
+    )
+    def test_an_auto_horizon_lost_in_quadratures_names_the_meter(self, system, hbar, want):
+        with pytest.raises(ConfigError) as err:
+            base_config(system=system, hbar=hbar)
+        assert str(err.value) == f"meter_variances: in quadrature units, {want}"
 
     def test_from_dict_roundtrip(self):
         raw = {
@@ -801,7 +822,8 @@ def test_a_signed_zero_covariance_is_its_own_step(monkeypatch):
 
 
 def spy_validate_state(monkeypatch):
-    """The states run_protocol validates, through ozawa.validate_state."""
+    """The states run_protocol validates: through ozawa.validate_state, and
+    through gaussian.validate_state, which the shared _require_valid calls."""
     calls, validate_state = [], ozawa.validate_state
 
     def spy(state, *args):
@@ -809,6 +831,7 @@ def spy_validate_state(monkeypatch):
         return validate_state(state, *args)
 
     monkeypatch.setattr(ozawa, "validate_state", spy)
+    monkeypatch.setattr(gaussian, "validate_state", spy)
     return calls
 
 
@@ -816,14 +839,14 @@ def spy_validate_state(monkeypatch):
 def test_states_are_validated_once_per_distinct_covariance(monkeypatch, mode):
     # The covariance half of the system and posterior checks depends on the
     # covariance alone, so it runs when a covariance step is created; a round
-    # that reuses a step checks only that its means are finite. The + 1 is the
-    # meter preparation.
+    # that reuses a step checks only that its means are finite. The meter
+    # preparation is valid by construction, so the run does not check it.
     cfg = OzawaConfig.from_dict(dict(json.loads(REFERENCE_CONFIG.read_text()), N=1000, mode=mode))
     steps = spy_covariance_step(monkeypatch)
     validated = spy_validate_state(monkeypatch)
     got = run_protocol(cfg)
     assert 1 <= len(steps) <= 10
-    assert len(validated) <= 2 * len(steps) + 1
+    assert len(validated) <= 2 * len(steps)
     assert got.to_csv() == reference_csv(reference_trace(cfg))
 
 
