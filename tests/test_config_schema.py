@@ -145,23 +145,26 @@ def cross_field_breaks(raw) -> set[str]:
         # over ω. The horizon must be defined (ω ≠ 0, no over- or underflow
         # in the quadratures), finite for a free mass, and nonzero; an
         # oscillator's phase/ω may still overflow, which the T rule names.
-        if system["variant"] == "free_mass":
-            t_m = float(system["m"]) / vpp_y0 * math.sqrt(max(excess, 0.0))
-            horizon = t_m if t_m < math.inf else math.nan
-        elif float(system["omega"]) == 0.0:
+        if system["variant"] != "free_mass" and float(system["omega"]) == 0.0:
             broken.add("system")
         else:
-            mw = mw if system["variant"] == "oscillator" else 1.0
-            v_x, v_p = vyy0 * mw / float(hbar), vpp_y0 / (mw * float(hbar))
-            s = math.sqrt(max(4.0 * v_x * v_p - 1.0, 0.0)) if v_x > 0 and v_p > 0 else math.inf
-            phase = math.atan2(s, v_p - v_x) if 0.0 < s < math.inf else math.nan if s else 0.0
-            horizon = phase / float(system["omega"])
-        if "system" in broken:
-            pass
-        elif not horizon > 0.0:  # undefined (NaN) or zero
-            broken.add("meter_variances")
-        else:
-            T = tau + horizon
+            if system["variant"] == "free_mass":
+                t_m = float(system["m"]) / vpp_y0 * math.sqrt(max(excess, 0.0))
+                horizon = t_m if t_m < math.inf else math.nan
+            else:
+                mw = mw if system["variant"] == "oscillator" else 1.0
+                scale = mw * float(hbar)  # may underflow to 0, which the code names too
+                v_x, v_p = vyy0 * mw / float(hbar), vpp_y0 / scale if scale else math.inf
+                positive = v_x > 0 and v_p > 0
+                s = math.sqrt(max(4.0 * v_x * v_p - 1.0, 0.0)) if positive else math.inf
+                if s == math.inf:  # no phase: the rescale or 4·v_x·v_p overflowed
+                    horizon = math.nan
+                else:
+                    horizon = (math.atan2(s, v_p - v_x) if s else 0.0) / float(system["omega"])
+            if not horizon > 0.0:  # undefined (NaN) or zero
+                broken.add("meter_variances")
+            else:
+                T = tau + horizon
     if isinstance(T, (int, float)):
         wait = float(T) - tau
         # The meter covariance must stay finite over T − τ under the free flow:
@@ -227,11 +230,14 @@ def changed(*path_and_value):
 @example(dict(changed("T", 1e10), system={"variant": "dimensionless_oscillator", "omega": 1e300}))
 @example(dict(changed("k", 1e300), tau=1e10))
 # The auto schedule, checked when the config is built: ω = 0 (system), a phase/ω
-# that overflows (T) and a quadrature rescale that overflows (meter_variances).
+# that overflows (T) and a quadrature rescale that over- or underflows (meter_variances).
 @example(changed("system", {"variant": "dimensionless_oscillator", "omega": 0.0}))
 @example(changed("system", {"variant": "dimensionless_oscillator", "omega": -0.0}))
 @example(changed("system", {"variant": "dimensionless_oscillator", "omega": 5e-324}))
 @example(dict(changed("hbar", 1e-210), system={"variant": "oscillator", "m": 1e100, "omega": 1.0}))
+@example(
+    dict(changed("hbar", 1e-300), system={"variant": "oscillator", "m": 1e-77, "omega": 1e-77})
+)
 @settings(max_examples=1000, deadline=None)
 @given(configs())
 def test_schema_and_validator_agree(raw):

@@ -413,6 +413,14 @@ class TestConfig:
             base_config(system=DimensionlessOscillator(omega=5e-324))
         assert str(err.value) == "T: phase omega*t is not finite at t = inf"
 
+    def test_an_auto_horizon_lost_in_tau_names_T(self):
+        # t_M = √3·1e-20 is below half an ulp of τ = 0.01, so τ + t_M − τ = 0: the
+        # run waited no time at all. The wait is held to T − τ > 0 as an explicit
+        # T is, and the message quotes the auto T = τ + t_M.
+        with pytest.raises(ConfigError) as err:
+            base_config(system=FreeMass(m=1e-20))
+        assert str(err.value) == "T: must exceed tau = 0.01, got 0.01"
+
     @pytest.mark.parametrize(
         "system, hbar, want",
         [
