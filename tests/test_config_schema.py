@@ -317,8 +317,6 @@ def test_a_numpy_infinity_is_not_finite():
         replace(OzawaConfig.from_dict(REFERENCE), k=np.float32("inf"))
 
 
-@example(changed("system", {"variant": "dimensionless_oscillator", "omega": 0.0}))
-@example(changed("system", {"variant": "dimensionless_oscillator", "omega": 5e-324}))
 @settings(max_examples=300, deadline=None)
 @given(st.one_of(valid_configs(), configs()))
 def test_a_config_that_builds_can_run(raw):

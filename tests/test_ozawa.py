@@ -333,6 +333,14 @@ class TestConfig:
     def test_valid_config_builds(self):
         assert base_config().period() == pytest.approx(0.01 + SQRT3)
 
+    @pytest.mark.parametrize("T", [None, 0.7])
+    def test_the_run_reads_the_period_the_constructor_checked(self, monkeypatch, T):
+        cfg = base_config(N=3, T=T)
+        period = cfg.period()
+        monkeypatch.setattr(OzawaConfig, "period", lambda self: pytest.fail("schedule rechecked"))
+        assert [s.time for s in run_protocol(cfg).steps] == [0.0, period, 2 * period]
+        assert "_period" not in cfg.to_dict()
+
     @pytest.mark.parametrize(
         "overrides,field",
         [
