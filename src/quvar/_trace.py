@@ -1,5 +1,5 @@
-"""The trace of a repeated-measurement run: its StepRecords, the flat rows
-quvar.ozawa.run_protocol holds them in, and its CSV.
+"""The trace of a repeated-measurement run: its StepRecords, read from the
+flat rows quvar.ozawa.run_protocol writes, and its CSV.
 
 run_protocol writes one row per round and this module reads them; the
 row layout is documented on ProtocolTrace. quvar.ozawa re-exports
@@ -26,67 +26,56 @@ class StepRecord:
     meter: GaussianState
 
 
-class Records(Sequence):
-    """run_protocol's StepRecords, read from its rows: len() builds none, any
-    other access builds them all, once. Two compare equal, and hash, as the
-    tuples of records they stand for."""
+class ProtocolTrace(Sequence):
+    """The StepRecords of a protocol run, one per round, read from the rows
+    run_protocol writes: (y_reading, the round's covariance step, then
+    mean_x and mean_p of the pre-measurement, posterior and meter states).
+    A covariance step is one tuple for every round from the same
+    covariance, and it begins with those states' covariances, each
+    (vxx, vpp, vxp). Round i (from 1) is the i-th row, at time
+    (i - 1) * period. len() builds no record; any other access builds them
+    all, once. Two traces compare equal, and hash, as the tuples of records
+    they stand for; steps is the trace itself."""
 
-    def __init__(self, rows):
-        self.rows, self.records = rows, None
+    def __init__(self, rows: list, period: float):
+        self.rows, self.period, self.records = rows, period, None
+
+    @property
+    def steps(self) -> ProtocolTrace:
+        return self
 
     def __len__(self):
         return len(self.rows)
 
     def __getitem__(self, index):
         if self.records is None:
+            t = self.period
             self.records = tuple(
-                StepRecord(i, t, y, GaussianState(mx, mp, *s[0]), GaussianState(qx, qp, *s[1]),
-                           GaussianState(ux, up, *s[2]))
-                for i, t, y, s, mx, mp, qx, qp, ux, up in self.rows
+                StepRecord(i, (i - 1) * t, y, GaussianState(mx, mp, *s[0]),
+                           GaussianState(qx, qp, *s[1]), GaussianState(ux, up, *s[2]))
+                for i, (y, s, mx, mp, qx, qp, ux, up) in enumerate(self.rows, 1)
             )
         return self.records[index]
 
     def __eq__(self, other):
-        return self[:] == (other[:] if isinstance(other, Records) else other)
+        return self[:] == other
 
     def __hash__(self):
         return hash(self[:])
 
-
-@dataclass(frozen=True)
-class ProtocolTrace:
-    """Per-measurement records of a protocol run.
-
-    A trace from run_protocol holds its StepRecords as flat rows, one per
-    round: (index, time, y_reading, the round's covariance step, then
-    mean_x and mean_p of the pre-measurement, posterior and meter states).
-    A covariance step is one tuple for every round from the same
-    covariance, and it begins with those states' covariances, each
-    (vxx, vpp, vxp). The records are built from the rows on first access,
-    all at once, and kept; len(steps) builds none. A trace may also be
-    built from a sequence of records."""
-
-    steps: Sequence[StepRecord]
-
     def csv_lines(self) -> Iterator[str]:
         """The trace CSV one newline-terminated line at a time: the header,
         then one row per measurement with floats at 17 significant digits.
-        The seven covariance cells are formatted once per covariance step. A
-        trace built from records is first given rows of its own, each with a
-        covariance list in place of the step."""
+        The seven covariance cells are formatted once per covariance step."""
         yield "i,t,y_reading,vxx_pre,vxp_pre,vpp_pre,vxx_post,vxp_post,vpp_post,vyy_meter\n"
-        rows = self.steps.rows if isinstance(self.steps, Records) else [
-            (s.index, s.time, s.y_reading, [(g.vxx, g.vpp, g.vxp) for g in (s.pre, s.post, s.meter)])
-            for s in self.steps
-        ]
-        cells = {}  # id(covariances) -> cells; the rows keep each one alive
-        for row in rows:
-            c = cells.get(id(row[3]))
+        t, cells = self.period, {}  # id(step) -> cells; the rows keep each step alive
+        for i, row in enumerate(self.rows, 1):
+            c = cells.get(id(row[1]))
             if c is None:
-                pre, post, meter = row[3][:3]
-                c = cells[id(row[3])] = "%.17g,%.17g,%.17g,%.17g,%.17g,%.17g,%.17g" % (
+                pre, post, meter = row[1][:3]
+                c = cells[id(row[1])] = "%.17g,%.17g,%.17g,%.17g,%.17g,%.17g,%.17g" % (
                     pre[0], pre[2], pre[1], post[0], post[2], post[1], meter[0])
-            yield f"{row[0]},{row[1]:.17g},{row[2]:.17g},{c}\n"
+            yield f"{i},{(i - 1) * t:.17g},{row[0]:.17g},{c}\n"
 
     def to_csv(self) -> str:
         return "".join(self.csv_lines())

@@ -37,7 +37,7 @@ from typing import Optional
 
 import numpy as np
 
-from ._trace import ProtocolTrace, Records, StepRecord
+from ._trace import ProtocolTrace, StepRecord
 from .bounds import contraction_phase_osc, contraction_time_free, sqrt_uncertainty_excess
 from .gaussian import (
     DimensionlessOscillator,
@@ -71,6 +71,9 @@ __all__ = [
 
 # Coupling dose at which the position block is exactly x → x − y, y → x.
 TRANSFER_KTAU = math.pi / (3.0 * math.sqrt(3.0))
+# The relative dose error up to which the timing counts as exact: check_regime
+# warns beyond it, and run_protocol asserts the transfer identity within it.
+_DOSE_TOLERANCE = 1e-9
 
 # Symplectic form in (x, p_x, y, p_y) ordering.
 SYMPLECTIC_FORM_4 = np.array(
@@ -376,18 +379,23 @@ class OzawaConfig:
         return cls(**{name: raw[name] for name in (*_FIELDS, "mode") if name in raw})
 
 
+def _dose_error(config: OzawaConfig) -> float:
+    """|k·τ − π/(3√3)| relative to π/(3√3)."""
+    return abs(config.k * config.tau - TRANSFER_KTAU) / TRANSFER_KTAU
+
+
 def check_regime(config: OzawaConfig) -> list[str]:
     """Advisory warnings where the zero-free-Hamiltonian idealization frays.
 
     The conditions δτ ≪ 1/k and k·τ = π/(3√3) and τ·max(Ω, ω_eff) ≪ 1 are
     checked with "≪" read as a factor of ten (threshold 0.1); the timing dose
-    itself is held to 1e−9 relative. For a free mass the effective system
-    rate is ω_eff = σP/(m·σX) of the initial state.
+    itself is held to 1e−9 relative, the one tolerance within which
+    run_protocol asserts the transfer identity. For a free mass the effective
+    system rate is ω_eff = σP/(m·σX) of the initial state.
     """
     warnings = []
-    dose = config.k * config.tau
-    rel = abs(dose - TRANSFER_KTAU) / TRANSFER_KTAU
-    if rel > 1e-9:
+    dose, rel = config.k * config.tau, _dose_error(config)
+    if rel > _DOSE_TOLERANCE:
         warnings.append(
             f"interaction timing: k*tau = {dose:.12g} deviates from pi/(3*sqrt(3)) "
             f"by {rel:.3g} relative; position transfer is no longer exact"
@@ -425,7 +433,9 @@ def _covariance_step(cov: tuple, meter: GaussianState, M: np.ndarray, F: np.ndar
     the cross terms: ok is False unless the posterior covariance validates
     (with any finite means) and the next one is finite; transfer_err is
     |vyy − vxx| where it breaks the transfer identity's tolerance, else
-    None."""
+    None. The tolerance is 1e−10·max(1, |vxx|) plus the map's own
+    first-order term |M[2,0]² − 1|·|vxx|, which is 0 at the transfer dose
+    and about 1.21·ε·|vxx| at a relative dose error ε."""
     c = _joint_cov(GaussianState(0.0, 0.0, *cov), meter, M).tolist()
     c02, c12, vyy = c[0][2], c[1][2], c[2][2]
     if vyy <= 0:
@@ -437,8 +447,8 @@ def _covariance_step(cov: tuple, meter: GaussianState, M: np.ndarray, F: np.ndar
     n = (F @ q.cov @ F.T).tolist()
     n = n[0][0], n[1][1], 0.5 * (n[0][1] + n[1][0])
     ok = validate_state(q, pconf).ok and all(map(math.isfinite, n))
-    err = abs(vyy - cov[0])
-    err = err if err > 1e-10 * max(1.0, abs(cov[0])) else None
+    err, vxx = abs(vyy - cov[0]), abs(cov[0])
+    err = err if err > 1e-10 * max(1.0, vxx) + abs(M[2, 0] ** 2 - 1.0) * vxx else None
     return cov, post, (vyy, c[3][3], c[2][3]), c02, c12, n, ok, math.sqrt(vyy), err
 
 
@@ -455,7 +465,8 @@ def run_protocol(config: OzawaConfig) -> ProtocolTrace:
     The run does not check the regime: callers report check_regime's
     warnings, as `quvar ozawa` does (its --strict then exits 1). The
     meter-variance transfer identity is asserted at every step whenever
-    the timing dose is exact.
+    the timing dose is exact, by the tolerance check_regime holds it to
+    (1e−9 relative): a run that check_regime does not warn about asserts it.
 
     The coupling map, the free flow over T − τ and the meter preparation are
     built once per run. The constructor has checked the schedule and kept
@@ -475,13 +486,10 @@ def run_protocol(config: OzawaConfig) -> ProtocolTrace:
     check, or after the last round ValueError "round N: posterior mean
     overflows …". The loop runs under one np.errstate, so no numpy warning
     escapes.
-    The loop carries the means as floats and the covariance as its step's
-    tuple, and appends one flat row per round that references its covariance
-    step (see quvar._trace): it builds no GaussianState or StepRecord.
-    The mean step builds no array: each round writes its means into v4
-    (slots 2–3 hold the meter means from the start) and v2, and ndarray.dot
-    writes M·v4 and F·v2 into w4 and w2, four vectors made once per run.
-    That is the BLAS dgemv M @ np.array([...]) reaches, so the bits agree.
+    Each round appends one flat row that references its covariance step;
+    the row layout is documented on ProtocolTrace. The mean step's BLAS
+    dgemv writes into four vectors made once per run, as
+    M @ np.array([...]) would, so the bits agree.
     The result is bit-identical to chaining couple → meter_marginal →
     read_meter → evolve by hand with rng.normal draws.
     ProtocolTrace.csv_lines() streams the trace as CSV row by row, which is
@@ -490,7 +498,7 @@ def run_protocol(config: OzawaConfig) -> ProtocolTrace:
     pconf = PhysConfig(config.hbar)
     period = config._period
     wait = period - config.tau
-    timing_exact = abs(config.k * config.tau - TRANSFER_KTAU) <= 1e-9 * TRANSFER_KTAU
+    timing_exact = _dose_error(config) <= _DOSE_TOLERANCE
     # Loop invariants: the coupling map and the free flow for the means, the
     # meter preparation, and (sample mode) the whole normal stream.
     # One batched standard_normal draw gives the same doubles as N successive
@@ -534,7 +542,7 @@ def run_protocol(config: OzawaConfig) -> ProtocolTrace:
                     f"variance transfer violated at step {i}: "
                     f"|vyy_meter - vxx_pre| = {transfer_err:.3g}"
                 )
-            rows.append((i, (i - 1) * period, reading, step, mx, mp, qx, qp, mean[2], mean[3]))
+            rows.append((reading, step, mx, mp, qx, qp, mean[2], mean[3]))
             if not (ok and math.isfinite(qx + qp)):
                 _require_valid(GaussianState(qx, qp, *post), config.hbar, "posterior")
                 if not ok:  # a valid posterior: the next covariance overflowed
@@ -547,4 +555,4 @@ def run_protocol(config: OzawaConfig) -> ProtocolTrace:
     # A round's evolved mean is checked by the next round; the last round's here.
     if not (math.isfinite(mx) and math.isfinite(mp)):
         raise ValueError(f"round {config.N}: posterior mean overflows over T - tau = {wait}")
-    return ProtocolTrace(Records(rows))
+    return ProtocolTrace(rows, period)

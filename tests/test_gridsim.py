@@ -103,6 +103,14 @@ class TestSampling:
         with pytest.raises(GridError, match="norm|represent"):
             sample_extremal(CONTRACTIVE, 0.0, 0.0, Grid.centered(0.0, 40.0, 2**6), 1.0)
 
+    def test_a_grid_past_both_guards_can_still_miss_the_norm(self):
+        # 16 points over ±8.3692 cover ±8σ (σ = 1) and resolve 6σP, yet the
+        # trapezoid rule misses the norm by 2.94e-08 > 1e-8.
+        with pytest.raises(GridError) as info:
+            sample_gaussian(0.5 + 0.0j, 0.0, 0.0, Grid.centered(0.0, 8.3692, 16))
+        assert type(info.value) is GridError
+        assert str(info.value) == "sampled norm deviates from 1 by 2.94e-08; refine the grid"
+
     def test_non_positive_real_width_rejected(self):
         with pytest.raises(ValueError) as info:
             sample_gaussian(-1.0 + 0.0j, 0.0, 0.0, desk_grid(), 1.0)
