@@ -34,8 +34,8 @@ class ProtocolTrace(Sequence):
     covariance, and it begins with those states' covariances, each
     (vxx, vpp, vxp). Round i (from 1) is the i-th row, at time
     (i - 1) * period. len() builds no record; any other access builds them
-    all, once. Two traces compare equal, and hash, as the tuples of records
-    they stand for; steps is the trace itself."""
+    all, once. A trace compares equal, and hashes, as the tuple of records
+    it stands for; steps is the trace itself."""
 
     def __init__(self, rows: list, period: float):
         self.rows, self.period, self.records = rows, period, None
