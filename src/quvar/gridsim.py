@@ -23,11 +23,11 @@ rounding. The public propagate_* check the input's momentum resolution, run
 an unchecked core and check the result's norm (in moments()), then its 8σ
 window.
 
-The oracle builds its grid's points and momenta once (the Grid keeps them,
-read-only, for sampling, the cores and moments()), checks its ψ0 once, and
-then costs one propagation and one moments() per time. On the free route it
-transforms ψ0 once, so a time costs one phase multiply, one ifft and
-moments()' two FFTs; an oscillator time costs 2 FFTs per sub-step. The
+The oracle builds its grid's points and momenta once (_axes keeps the last
+grid's, read-only, for sampling, the cores and moments()), checks its ψ0
+once, and then costs one propagation and one moments() per time. On the free
+route it transforms ψ0 once, so a time costs one phase multiply, one ifft
+and moments()' two FFTs; an oscillator time costs 2 FFTs per sub-step. The
 times are independent: from _FANOUT_POINTS grid points × times on, they run
 in forked workers on Linux (quvar._fanout), each process running the same
 code on the same inherited ψ0, so the report's bytes do not change.
@@ -41,8 +41,9 @@ joint_moments integrates its moments and slice_at_y conditions on a reading.
 
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional, Union
 
 import numpy as np
@@ -130,22 +131,14 @@ class Grid:
         return 2.0 * math.pi * hbar * np.fft.fftfreq(self.n, d=self.dx)
 
 
+@functools.lru_cache(maxsize=1, typed=True)
 def _axes(grid: Grid, hbar: float) -> tuple:
-    """(grid.points(), grid.momenta(ħ)), read-only, built once per grid and ħ.
-
-    The grid object keeps the pair for the last ħ (value and type) it was
-    asked for, so a run on one grid builds its axes once, and a hit returns
-    the very arrays a miss would build. Grid.points() and Grid.momenta()
-    still return fresh arrays.
-    """
-    key = type(hbar), hbar
-    cached = grid.__dict__.get("_axes")  # one tuple: threads never mix two ħ
-    if cached is None or cached[0] != key:
-        x, p = grid.points(), grid.momenta(hbar)
-        x.flags.writeable = p.flags.writeable = False
-        # Not a field, so eq, hash and repr ignore it; frozen guards only setattr.
-        cached = grid.__dict__["_axes"] = key, x, p
-    return cached[1:]
+    """(grid.points(), grid.momenta(ħ)), read-only. Every call of an oracle
+    run asks for ψ0's grid and ħ (value and type), so one slot builds them
+    once a run; Grid.points() and Grid.momenta() still return fresh arrays."""
+    x, p = grid.points(), grid.momenta(hbar)
+    x.flags.writeable = p.flags.writeable = False
+    return x, p
 
 
 @dataclass(frozen=True, eq=False)
@@ -528,7 +521,7 @@ def verify_bounds_oracle(
         max_envelope_dev=max_e,
         tolerance=tolerance,
         ok=max_m <= tolerance and max_e <= tolerance,
-        grid=replace(grid),  # equal, without the cached axes: the report holds no array
+        grid=grid,
     )
 
 

@@ -626,6 +626,19 @@ class TestGridAxes:
         assert not any(thread.is_alive() for thread in threads)
         assert wrong == []
 
+    def test_a_grid_holds_only_its_fields(self):
+        # The axes live in _axes' one cache slot, never on the (frozen) Grid.
+        fields = ["n", "x_max", "x_min"]
+        grid = desk_grid(n=2**10)
+        psi = sample_extremal(CONTRACTIVE, 0.0, 0.0, grid, 1.0)
+        moments(psi)
+        propagate_free(psi, 1.0, 0.5)
+        propagate_osc_exact(psi, 1.0, 1.0, 0.5)
+        assert sorted(vars(grid)) == fields
+        report = verify_bounds_oracle(CONTRACTIVE, FreeMass(m=1.0), [0.5], n=2**10)
+        assert sorted(vars(report.grid)) == fields
+        assert report.grid != grid and gridsim._axes.cache_info().currsize <= 1
+
 
 def test_a_slice_of_zero_norm_is_rejected():
     grid = Grid.centered(0.0, 4.0, 8)
