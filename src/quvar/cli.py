@@ -12,8 +12,9 @@ error, 141 (128 + SIGPIPE) with nothing on stderr when the reader closes
 stdout early, as `quvar bounds | head` does. The commands raise; main alone
 turns an exception into one stderr line and a code: GridError "oracle
 failed: ..." 1, ConfigError "invalid config: ..." 2, any other ValueError
-(an --output or --dump-psi path that cannot be written among them) its
-message 2, OverflowError "COMMAND state overflows the double range: ..." 2.
+(an --output or --dump-psi file, or stdout, that cannot be written, at the
+open or at a write, among them: "cannot write PATH: reason") its message 2,
+OverflowError "COMMAND state overflows the double range: ..." 2.
 Floats are printed with 17 significant digits so every emitted value
 re-parses to the identical double. Identical invocations produce
 byte-identical output.
@@ -80,17 +81,36 @@ def _render_json(obj, indent: int = 0, name: str = "") -> str:
 
 
 def _write_output(chunks: Iterable[str], path: str | None) -> None:
-    """Write the chunks in order to stdout, or to the file at path: one that
-    cannot be opened raises ValueError "cannot write PATH: reason"."""
-    if path is None:
-        sys.stdout.writelines(chunks)
-        return
+    """Write the chunks in order to the file at path, or to stdout and flush
+    it. An OSError from the open, a write, the flush or the close raises
+    ValueError "cannot write PATH: reason" (PATH stdout, whose descriptor
+    then points at devnull, so the flush at exit cannot fail again); a
+    closed pipe stays a BrokenPipeError, for main."""
     try:
-        fh = open(path, "w", newline="\n")
+        if path is None:
+            sys.stdout.writelines(chunks)
+            sys.stdout.flush()
+        else:
+            with open(path, "w", newline="\n") as fh:
+                fh.writelines(chunks)
+    except BrokenPipeError:
+        raise
     except OSError as exc:
-        raise ValueError(f"cannot write {path}: {exc.strerror}") from exc
-    with fh:
-        fh.writelines(chunks)
+        if path is None:
+            _stdout_to_devnull()
+        raise ValueError(f"cannot write {'stdout' if path is None else path}: {exc.strerror}") from exc
+
+
+def _stdout_to_devnull() -> None:
+    """Point stdout's descriptor at devnull; a stdout without one (a
+    StringIO) is left as it is."""
+    try:
+        fd = sys.stdout.fileno()
+    except ValueError:  # io.UnsupportedOperation
+        return
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(devnull, fd)
+    os.close(devnull)
 
 
 def _csv_chunks(header: str, row: str, blocks: list, rows: int) -> Iterator[str]:
@@ -223,7 +243,7 @@ def _cmd_oracle(args) -> int:
     if args.dump_psi:  # ψ0 again, on the grid the oracle sampled it on
         psi = sample_extremal(spec, args.mean_x, args.mean_p, report.grid, hbar)
         _write_output([wavefn_csv(psi)], args.dump_psi)
-    print(report.render())
+    _write_output([report.render(), "\n"], None)
     return EXIT_OK if report.ok else EXIT_VERIFY
 
 
@@ -311,16 +331,8 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         code = args.func(args)
-        sys.stdout.flush()
     except BrokenPipeError:  # the reader is gone; _cmd_bounds' closing() reaped any workers
-        try:
-            fd = sys.stdout.fileno()
-        except ValueError:  # io.UnsupportedOperation: no descriptor (a StringIO), nothing to redirect
-            return EXIT_PIPE
-        # stdout now writes to devnull, so the flush at exit cannot raise again.
-        devnull = os.open(os.devnull, os.O_WRONLY)
-        os.dup2(devnull, fd)
-        os.close(devnull)
+        _stdout_to_devnull()  # so the flush at exit cannot raise again
         return EXIT_PIPE
     # GridError and ConfigError are ValueErrors: they are caught first.
     except GridError as exc:

@@ -1,4 +1,5 @@
 import argparse
+import errno
 import io
 import json
 import math
@@ -805,12 +806,12 @@ class TestOzawa:
         assert (code, out, got) == (2, "", f"invalid config: {err}\n")
 
 
-def quvar_process(*argv):
-    """`python -m quvar ARGV` with stdout and stderr on pipes."""
+def quvar_process(*argv, stdout=subprocess.PIPE):
+    """`python -m quvar ARGV` with stderr, and by default stdout, on pipes."""
     src = str(Path(quvar.__file__).resolve().parent.parent)
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     return subprocess.Popen([sys.executable, "-m", "quvar", *argv], env=env,
-                            stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+                            stdout=stdout, stderr=subprocess.PIPE)
 
 
 class TestClosedPipe:
@@ -859,6 +860,51 @@ def test_an_unwritable_output_path_exits_2_with_one_line(capsys, tmp_path, argv)
     assert (code, out) == (2, "")
     assert err.startswith(f"cannot write {path}: ") and err.count("\n") == 1, err
     assert not path.parent.exists()
+
+
+class TestFailedWrite:
+    """A write that fails after the open (/dev/full: ENOSPC) is a usage error
+    with one stderr line, where it was an OSError traceback with exit 1."""
+
+    pytestmark = pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+    ENOSPC = os.strerror(errno.ENOSPC)
+
+    @pytest.mark.parametrize("argv", [
+        ["bounds", "--output"],
+        # Fanned out: 100,001 rows is past _FANOUT_ROWS.
+        ["bounds", "--steps", "100000", "--output"],
+        ["extremal", "--output"],
+        ["ozawa", "--config", REFERENCE_CONFIG, "--output"],
+        ["oracle", "--n", "1024", "--times", "0.5", "--dump-psi"],
+    ], ids=["bounds", "bounds-fanned-out", "extremal", "ozawa", "oracle"])
+    def test_a_file_exits_2_with_one_line(self, capsys, argv):
+        assert run_cli(capsys, *argv, "/dev/full") == (2, "", f"cannot write /dev/full: {self.ENOSPC}\n")
+        with pytest.raises(ChildProcessError):  # every worker is reaped
+            os.waitpid(-1, os.WNOHANG)
+
+    @pytest.mark.parametrize("argv", [
+        ["bounds"],
+        ["bounds", "--steps", "100000"],
+        ["extremal"],
+        ["oracle", "--n", "1024", "--times", "0.5"],
+        ["ozawa", "--config", REFERENCE_CONFIG],
+    ], ids=["bounds", "bounds-fanned-out", "extremal", "oracle", "ozawa"])
+    def test_stdout_exits_2_with_one_line(self, argv):
+        # stdout then writes to devnull: the flush at exit adds no second line.
+        with open("/dev/full", "w") as full, quvar_process(*argv, stdout=full) as proc:
+            err = proc.stderr.read()
+        assert (proc.returncode, err.decode()) == (2, f"cannot write stdout: {self.ENOSPC}\n")
+
+    def test_stdout_in_process_reaps_the_workers(self, capsys, monkeypatch):
+        class FullStringIO(io.StringIO):
+            def write(self, text):
+                raise OSError(errno.ENOSPC, TestFailedWrite.ENOSPC)
+
+        monkeypatch.setattr(sys, "stdout", FullStringIO())
+        assert main(["bounds", "--steps", "100000"]) == 2
+        assert capsys.readouterr().err == f"cannot write stdout: {self.ENOSPC}\n"
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
 
 
 @pytest.mark.parametrize("exc, code, prefix", [
