@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gaussian import DimensionlessOscillator, FreeMass, Oscillator, SystemModel
+from .gaussian import SR_MARGIN_TOL, DimensionlessOscillator, FreeMass, Oscillator, SystemModel
 
 __all__ = [
     "BoundPair",
@@ -52,11 +52,13 @@ class BoundPair:
 def sqrt_uncertainty_excess(vxx0: float, vpp0: float, hbar: float = 1.0) -> float:
     """√(4·vxx0·vpp0 − ħ²), the envelope half-width scale.
 
-    Arguments within −1e−12·max(ħ², 4·vxx0·vpp0) of zero are clamped to 0 so
-    that exactly-saturating inputs built in floating point pass; anything
-    more negative is an invalid uncertainty product and raises, as do a
-    non-positive variance, a non-positive or NaN ħ, and 4·vxx0·vpp0 and ħ²
-    that both overflow (their difference would be inf − inf = NaN).
+    The allowance is validate_state's at vxp = 0: a product with
+    vxx0·vpp0 − ħ²/4 ≥ −SR_MARGIN_TOL·max(ħ², vxx0·vpp0), the same bits, is
+    accepted and a negative radicand clamped to 0, so that exactly-saturating
+    inputs built in floating point pass; a smaller product is an invalid
+    uncertainty product and raises, as do a non-positive variance, a
+    non-positive or NaN ħ, and 4·vxx0·vpp0 and ħ² that both overflow (their
+    difference would be inf − inf = NaN).
     """
     if not vxx0 > 0 or not vpp0 > 0:
         raise ValueError(f"variances must be positive, got vxx0={vxx0}, vpp0={vpp0}")
@@ -67,8 +69,9 @@ def sqrt_uncertainty_excess(vxx0: float, vpp0: float, hbar: float = 1.0) -> floa
         raise ValueError(
             f"4*vxx0*vpp0 and hbar^2 both overflow: vxx0 = {vxx0}, vpp0 = {vpp0}, hbar = {hbar}"
         )
-    tol = 1e-12 * max(hbar * hbar, 4.0 * vxx0 * vpp0)
-    if arg < -tol or arg == -math.inf:  # -inf: ħ² overflowed, and tol with it
+    margin = vxx0 * vpp0 - 0.25 * (hbar * hbar)
+    if margin < -SR_MARGIN_TOL * max(hbar * hbar, vxx0 * vpp0) or arg == -math.inf:
+        # -inf: ħ² overflowed, and the allowance with it
         raise ValueError(
             f"uncertainty product below minimum: vxx0*vpp0 = {vxx0 * vpp0:.6g} "
             f"< hbar^2/4 = {0.25 * hbar * hbar:.6g}"

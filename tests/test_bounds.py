@@ -6,7 +6,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from quvar import (
@@ -15,6 +15,7 @@ from quvar import (
     FreeMass,
     GaussianState,
     Oscillator,
+    PhysConfig,
     contraction_phase_osc,
     contraction_time_free,
     evolve,
@@ -25,6 +26,7 @@ from quvar import (
     oscillator_bounds_p,
     oscillator_bounds_x,
     sql_reference,
+    validate_state,
 )
 from quvar.bounds import envelope, sqrt_uncertainty_excess
 from quvar.cli import main
@@ -171,6 +173,37 @@ class TestContractionTimeFree:
         assert str(info.value) == (
             f"t_M = (m/vpp0)*sqrt(4*vxx0*vpp0 - hbar^2) is {product} = inf, not finite"
         )
+
+
+@st.composite
+def near_minimal_products(draw):
+    """(vxx0, vpp0, ħ) with vxx0·vpp0 within ±1e−11 relative of ħ²/4."""
+    hbar = 10.0 ** draw(st.floats(-100.0, 100.0))
+    vxx0 = hbar * 10.0 ** draw(st.floats(-50.0, 50.0))
+    vpp0 = hbar * hbar / (4.0 * vxx0) * (1.0 + draw(st.floats(-1e-11, 1e-11)))
+    return vxx0, vpp0, hbar
+
+
+class TestUncertaintyAllowance:
+    """sqrt_uncertainty_excess accepts exactly the products validate_state
+    accepts at vxp = 0: one rounding allowance for one uncertainty bound."""
+
+    HALF = 0.5 * math.sqrt(1.0 - 2e-12)
+
+    @settings(max_examples=300, deadline=None)
+    @given(near_minimal_products())
+    # ħ² dominates: a margin of −5e−13, inside validate_state's allowance,
+    # was outside the quarter of it that sqrt_uncertainty_excess allowed.
+    @example((HALF, HALF, 1.0))
+    def test_accepts_what_validate_state_accepts(self, args):
+        vxx0, vpp0, hbar = args
+        try:
+            sqrt_uncertainty_excess(vxx0, vpp0, hbar)
+        except ValueError:
+            returned = False
+        else:
+            returned = True
+        assert returned == validate_state(GaussianState(vxx=vxx0, vpp=vpp0), PhysConfig(hbar)).ok
 
 
 class TestOscillatorBounds:
