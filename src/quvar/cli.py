@@ -243,6 +243,8 @@ def _cmd_oracle(args) -> int:
     if args.dump_psi:  # ψ0 again, on the grid the oracle sampled it on
         psi = sample_extremal(spec, args.mean_x, args.mean_p, report.grid, hbar)
         _write_output([wavefn_csv(psi)], args.dump_psi)
+    # Two writes, as print() made: one write longer than a pipe holds whose
+    # reader closes midway returned no error, and the run exited 0, not 141.
     _write_output([report.render(), "\n"], None)
     return EXIT_OK if report.ok else EXIT_VERIFY
 
