@@ -26,8 +26,11 @@ window.
 The oracle builds its grid's points and momenta once (_axes keeps the last
 grid's, read-only, for sampling, the cores and moments()), checks its ψ0
 once, and then costs one propagation and one moments() per time. On the free
-route it transforms ψ0 once, so a time costs one phase multiply, one ifft
-and moments()' two FFTs; an oscillator time costs 2 FFTs per sub-step. The
+route it transforms ψ0 once, so a time costs one phase (cos and sin of half
+the momentum grid, mirrored), one multiply, one ifft and moments()' two
+FFTs: about 2-3 ms and 5.5 ms at n = 2**16 under `quvar oracle`, whose
+allocator keeps its freed heap (quvar.cli); a library caller's FFTs still
+fault in fresh pages. An oscillator time costs 2 FFTs per sub-step. The
 times are independent: from _FANOUT_POINTS grid points × times on, they run
 in forked workers on Linux (quvar._fanout), each process running the same
 code on the same inherited ψ0, so the report's bytes do not change.
@@ -64,8 +67,10 @@ from .gaussian import (
 from .ozawa import TwoModeGaussian, interaction_map
 
 # Grid points × times from which the oracle fans its times out over the
-# usable CPUs (quvar._fanout). On a 2-vCPU VM, 2**18 ran 1.24-1.63x faster with
-# the second vCPU free and 9-18% slower with both processes on one (2**16: 35%).
+# usable CPUs (quvar._fanout). On a 2-vCPU VM, in `quvar oracle` (no page
+# faults), the fanned-out run took 0.88-1.10x the serial loop's time at 2**18
+# (n = 2**16, 2**12), 0.89-0.93x at 2**19 and 0.68x at 2**22, with the second
+# vCPU free; with both processes on one vCPU, 1.23-1.35x at 2**18.
 _FANOUT_POINTS = 2**18
 
 __all__ = [
@@ -306,11 +311,27 @@ def _checked(out: WaveFn) -> WaveFn:
 
 def _free(spec: WaveFn, m: float, t: float) -> WaveFn:
     """One phase multiply and one ifft of spec.amps = FFT(ψ), in FFT order.
-    The product is φ·e into a fresh array, never e·φ: complex multiplication
-    does not commute bit for bit."""
+
+    The phase e = exp(−1j·p·p·t/(2mħ)) is built in the complex chain's bits
+    as cos θ + i·sin θ, θ = −(p·p)·t·(1/(2mħ)) being the chain's imaginary
+    part (numpy divides by a real number by multiplying with its reciprocal)
+    and θ_0 = +0, from p_0..p_{n/2} alone: fftfreq makes p_{n−j} exactly
+    −p_j, so the rest is a mirror. Where θ has a zero beside θ_0 (t = 0, or
+    a product that underflows) the chain's zero signs follow p's, and where
+    it is not finite its NaNs are cexp's: there the chain itself is run. The
+    product is φ·e, written into e's buffer, never e·φ: complex
+    multiplication does not commute bit for bit."""
     p = _axes(spec.grid, spec.hbar)[1]
-    e = np.exp(-1j * p * p * t / (2.0 * m * spec.hbar))
-    return WaveFn(grid=spec.grid, amps=np.fft.ifft(spec.amps * e), hbar=spec.hbar)
+    h = p.size // 2 + 1
+    theta = -(p[:h] * p[:h]) * t * (1.0 / (2.0 * m * spec.hbar))
+    theta[0] = 0.0
+    if theta[1] and abs(theta[-1]) < math.inf:
+        e = np.empty(p.size, complex)
+        e.real[:h], e.imag[:h] = np.cos(theta), np.sin(theta)
+        e[h:] = e[h - 2 : 0 : -1]
+    else:
+        e = np.exp(-1j * p * p * t / (2.0 * m * spec.hbar))
+    return WaveFn(spec.grid, np.fft.ifft(np.multiply(spec.amps, e, out=e)), spec.hbar)
 
 
 def propagate_free(psi: WaveFn, m: float, t: float) -> WaveFn:

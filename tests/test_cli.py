@@ -1,4 +1,5 @@
 import argparse
+import ctypes
 import errno
 import io
 import json
@@ -31,6 +32,8 @@ from quvar import (
     verify_bounds_oracle,
 )
 from quvar.cli import main
+from test_golden import CASES as GOLDEN_CASES
+from test_golden import GOLDEN
 
 SQRT3 = math.sqrt(3.0)
 
@@ -483,6 +486,41 @@ class TestOracle:
             main(["oracle", "--n-steps", "4"])
         assert exc.value.code == 2
         assert "unrecognized arguments: --n-steps" in capsys.readouterr().err
+
+
+def _no_libc(name):
+    raise OSError("no C library")
+
+
+class _NoMallopt:
+    """A C library without the mallopt symbol."""
+
+
+class TestKeepFreedHeap:
+    """`quvar oracle`, and only it, asks glibc's malloc to keep its freed heap."""
+
+    @pytest.mark.parametrize("cdll", [_no_libc, lambda name: _NoMallopt()])
+    def test_the_oracle_bytes_hold_without_mallopt(self, capsys, monkeypatch, cdll):
+        monkeypatch.setattr(ctypes, "CDLL", cdll)
+        argv, want_code = GOLDEN_CASES["oracle_free_n65536"]
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out, err) == (want_code, (GOLDEN / "oracle_free_n65536.txt").read_text(), "")
+
+    def test_only_the_oracle_command_calls_mallopt(self, capsys, monkeypatch):
+        calls = []
+
+        class Libc:
+            def mallopt(self, param, value):
+                calls.append((param, value))
+                return 1
+
+        monkeypatch.setattr(ctypes, "CDLL", lambda name: Libc())
+        verify_bounds_oracle(ExtremalSpec.from_variances(1.0, 1.0), FreeMass(1.0), [0.5], n=2**10)
+        for argv in (["bounds"], ["extremal"], ["ozawa", "--config", REFERENCE_CONFIG]):
+            assert run_cli(capsys, *argv)[0] == 0
+        assert calls == []
+        assert run_cli(capsys, "oracle", "--n", "1024", "--times", "0.5")[0] == 0
+        assert calls == [(-3, 32 << 20), (-1, 64 << 20)]  # M_MMAP_THRESHOLD, M_TRIM_THRESHOLD
 
 
 class TestOzawa:

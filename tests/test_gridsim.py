@@ -5,6 +5,8 @@ import threading
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from quvar import (
     TRANSFER_KTAU,
@@ -254,6 +256,83 @@ class TestPropagateFree:
         with pytest.raises(ValueError) as info:
             propagate_free(psi, 0.0, 1.0)
         assert str(info.value) == "m must be > 0, got 0.0"
+
+
+def _amplitudes(kind, seed, n):
+    """A spectrum of n complex amplitudes: normal, real, or made of exact
+    zeros of both signs among a few other values."""
+    rng = np.random.default_rng(seed)
+    if kind == "complex":
+        return rng.normal(size=n) + 1j * rng.normal(size=n)
+    if kind == "real":
+        return rng.normal(size=n) + 0j
+    values = np.array([0.0, -0.0, 1.0, -1.5, 2.0**-1074])
+    return rng.choice(values, n) + 1j * rng.choice(values, n)
+
+
+def _assert_free_is_the_complex_exp(grid, amps, hbar, m, t):
+    # e is named, not inlined: numpy's temporary elision would turn an inline
+    # amps * np.exp(...) into e·φ from n = 2**14 on, and complex
+    # multiplication does not commute bit for bit.
+    with np.errstate(all="ignore"):
+        p = grid.momenta(hbar)
+        e = np.exp(-1j * p * p * t / (2.0 * m * hbar))
+        want = np.fft.ifft(np.multiply(amps, e))
+        got = gridsim._free(WaveFn(grid, amps.copy(), hbar), m, t).amps
+    np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+class TestFreePhase:
+    """_free builds e^{−ip²t/(2mħ)} as cos + i·sin from half the momentum grid;
+    its output must keep the bits of the complex exp it replaced."""
+
+    @settings(max_examples=300)
+    @given(
+        k=st.integers(1, 16),
+        hbar_exp=st.floats(-2.0, 2.0),
+        m_exp=st.floats(-3.0, 3.0),
+        center=st.one_of(st.floats(-100.0, 100.0), st.floats(allow_nan=False, allow_infinity=False)),
+        half=st.one_of(st.floats(-2.0, 3.0).map(lambda u: 10.0**u),
+                       st.floats(min_value=0.0, max_value=1e308, exclude_min=True)),
+        t=st.one_of(st.just(0.0), st.floats(-8.0, 3.0).map(lambda u: 10.0**u)),
+        kind=st.sampled_from(["complex", "real", "zeros"]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    # A zero spectrum at t = 1 in which only the p = 0 phase's +0 keeps a sum's
+    # −0; a width that makes p² overflow.
+    @example(k=1, hbar_exp=0.0, m_exp=0.0, center=0.0, half=5.0, t=1.0, kind="zeros", seed=113)
+    @example(k=16, hbar_exp=0.0, m_exp=0.0, center=0.0, half=1e-300, t=1.0, kind="real", seed=1)
+    def test_bitwise_the_complex_exp(self, k, hbar_exp, m_exp, center, half, t, kind, seed):
+        hbar, m = 10.0**hbar_exp, 10.0**m_exp
+        try:
+            grid = Grid.centered(center, half, 2**k)
+            with np.errstate(all="ignore"):
+                grid.momenta(hbar)
+        except (ValueError, ZeroDivisionError):  # the width rounds to 0, or dx does
+            assume(False)
+        _assert_free_is_the_complex_exp(grid, _amplitudes(kind, seed, grid.n), hbar, m, t)
+
+    def test_zero_signs_follow_p_at_t0(self):
+        # At t = 0 the complex exp is 1 + 0i for p >= 0 and 1 − 0i for p < 0,
+        # which no mirror copies: φ·e's real parts here are all −0 with the
+        # exp's phase and not with 1 − 0i everywhere.
+        amps = np.array([complex(-0.0, 1.0), complex(-0.0, 1.0), complex(-0.0, -1.0), complex(-0.0, -1.0)])
+        _assert_free_is_the_complex_exp(Grid.centered(0.0, 5.0, 4), amps, 1.0, 1.0, 0.0)
+
+    def test_cos_and_sin_equal_the_complex_exp_elementwise(self):
+        # The free phase's bytes rest on numpy's cos and sin agreeing with the
+        # complex exp (libm's cexp) on the platform, as the oscillator x-row's
+        # rest on cos and sin agreeing with libm.
+        rng = np.random.default_rng(26)
+        n = 10**6 // 4
+        p = np.concatenate([rng.uniform(-10.0, 10.0, n), rng.uniform(-1e4, 1e4, n),
+                            rng.uniform(-1e7, 1e7, 2 * n)])
+        p = p[p != 0.0]
+        for t, m, hbar in ((0.7, 1.3, 1.0), (2.2, 1.2, 1.42), (1e-6, 0.01, 100.0), (1e3, 1e3, 0.01)):
+            e = np.exp(-1j * p * p * t / (2.0 * m * hbar))
+            theta = -(p * p) * t * (1.0 / (2.0 * m * hbar))
+            np.testing.assert_array_equal(np.cos(theta), e.real)
+            np.testing.assert_array_equal(np.sin(theta), e.imag)
 
 
 class TestPropagateOsc:
