@@ -8,6 +8,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+import types
 import warnings
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
@@ -509,18 +510,18 @@ class TestKeepFreedHeap:
     def test_only_the_oracle_command_calls_mallopt(self, capsys, monkeypatch):
         calls = []
 
-        class Libc:
-            def mallopt(self, param, value):
-                calls.append((param, value))
-                return 1
+        def mallopt(param, value):
+            calls.append((param, value))
+            return 1
 
-        monkeypatch.setattr(ctypes, "CDLL", lambda name: Libc())
+        monkeypatch.setattr(ctypes, "CDLL", lambda name: types.SimpleNamespace(mallopt=mallopt))
         verify_bounds_oracle(ExtremalSpec.from_variances(1.0, 1.0), FreeMass(1.0), [0.5], n=2**10)
         for argv in (["bounds"], ["extremal"], ["ozawa", "--config", REFERENCE_CONFIG]):
             assert run_cli(capsys, *argv)[0] == 0
         assert calls == []
         assert run_cli(capsys, "oracle", "--n", "1024", "--times", "0.5")[0] == 0
         assert calls == [(-3, 32 << 20), (-1, 64 << 20)]  # M_MMAP_THRESHOLD, M_TRIM_THRESHOLD
+        assert (mallopt.argtypes, mallopt.restype) == ((ctypes.c_int, ctypes.c_int), ctypes.c_int)
 
 
 class TestOzawa:
