@@ -28,7 +28,7 @@ grid's, read-only, for sampling, the cores and moments()), checks its ψ0
 once, and then costs one propagation and one moments() per time. On the free
 route it transforms ψ0 once, so a time costs one phase (cos and sin of half
 the momentum grid, mirrored), one multiply, one ifft and moments()' two
-FFTs: about 2-3 ms and 5.5 ms at n = 2**16 under `quvar oracle`, whose
+FFTs: about 2 ms and 4-5.5 ms at n = 2**16 under `quvar oracle`, whose
 allocator keeps its freed heap (quvar.cli); a library caller's FFTs still
 fault in fresh pages. An oscillator time costs 2 FFTs per sub-step. The
 times are independent: from _FANOUT_POINTS grid points × times on, they run

@@ -298,8 +298,8 @@ class TestFreePhase:
         kind=st.sampled_from(["complex", "real", "zeros"]),
         seed=st.integers(0, 2**32 - 1),
     )
-    # A zero spectrum at t = 1 in which only the p = 0 phase's +0 keeps a sum's
-    # −0; a width that makes p² overflow.
+    # A signed-zero spectrum whose bits hold only with the p = 0 phase's +0
+    # imaginary part; a width that makes p² overflow.
     @example(k=1, hbar_exp=0.0, m_exp=0.0, center=0.0, half=5.0, t=1.0, kind="zeros", seed=113)
     @example(k=16, hbar_exp=0.0, m_exp=0.0, center=0.0, half=1e-300, t=1.0, kind="real", seed=1)
     def test_bitwise_the_complex_exp(self, k, hbar_exp, m_exp, center, half, t, kind, seed):
