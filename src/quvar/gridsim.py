@@ -325,7 +325,7 @@ def _free(spec: WaveFn, m: float, t: float) -> WaveFn:
     h = p.size // 2 + 1
     theta = -(p[:h] * p[:h]) * t * (1.0 / (2.0 * m * spec.hbar))
     theta[0] = 0.0
-    if theta[1] and abs(theta[-1]) < math.inf:
+    if theta[1] and math.isfinite(theta[-1]):
         e = np.empty(p.size, complex)
         e.real[:h], e.imag[:h] = np.cos(theta), np.sin(theta)
         e[h:] = e[h - 2 : 0 : -1]
