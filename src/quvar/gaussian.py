@@ -15,8 +15,9 @@ Two flow families cover the three models:
   for the oscillator H = P²/(2m) + ½mω²X² (s = mω) and the dimensionless
   oscillator in quadratures x = √(mω/ħ)·X, p = P/√(mħω) (s = 1, ħ = 1).
 
-Each model class is the one source of its flow, effective ħ, envelope floor
-and x-row coefficients (cxx, cpp, cxp) = (a², b², ab) of M's first row (a, b),
+Each model class is the one source of its flow, effective ħ, envelope floor,
+the (m, ω) of its Hamiltonian P²/(2m) + ½mω²X² (ω = 0 for the free mass), and
+x-row coefficients (cxx, cpp, cxp) = (a², b², ab) of M's first row (a, b),
 which give σ²(X(t)) = cxx·vxx + cpp·vpp + 2·cxp·vxp and the envelopes. The
 x-row takes t as a 1-D array (a float is the length-1 case) and returns arrays.
 
@@ -82,6 +83,11 @@ class FreeMass:
     def _flow(self, t: float) -> np.ndarray:
         return np.array([[1.0, t / self.m], [0.0, 1.0]])
 
+    def _pair(self, t: float) -> tuple | None:
+        """(m, ω) of the Hamiltonian that moves the state over t, or None
+        where the model leaves it as it is (the dimensionless oscillator)."""
+        return self.m, 0.0
+
     def _x_row(self, t: float | np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
         u = np.atleast_1d(t) / self.m
         return 1.0, u * u, u
@@ -145,6 +151,9 @@ class Oscillator(_Rotation):
             raise ValueError(f"m*omega must have a finite, nonzero square, got {mw}")
         object.__setattr__(self, "_scale", mw)
 
+    def _pair(self, t: float) -> tuple | None:
+        return self.m, self.omega
+
 
 @dataclass(frozen=True)
 class DimensionlessOscillator(_Rotation):
@@ -161,6 +170,10 @@ class DimensionlessOscillator(_Rotation):
     def __post_init__(self) -> None:
         if self.omega < 0:
             raise ValueError(f"omega must be >= 0, got {self.omega}")
+
+    def _pair(self, t: float) -> tuple | None:
+        # i∂ψ/∂t = ½ω(−∂² + x²)ψ is an oscillator with m = 1/ω; at ωt = 0, none.
+        return (1.0 / self.omega, self.omega) if self.omega and t else None
 
     def _hbar(self, hbar: float) -> float:
         return 1.0

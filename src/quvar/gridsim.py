@@ -19,9 +19,10 @@ Free evolution is exact up to discretization (pure momentum-space phase).
 So is the oscillator (chirp–FFT–chirp, coefficients from the Hamiltonian,
 never from the closed-form flow it checks), the oracle's one route; the
 tests hold it against a split step of their own. Both preserve the norm to
-rounding. The public propagate_* check the input's momentum resolution, run
-an unchecked core and check the result's norm (in moments()), then its 8σ
-window.
+rounding. The public propagate_* check that t is finite and the input's
+momentum resolution, run an unchecked core and check the result's norm (in
+moments()), then its 8σ window. Which core an oracle time runs is read from
+the model's (m, ω) pair alone (_route): gridsim knows no model class.
 
 The oracle builds its grid's points and momenta once (_axes keeps the last
 grid's, read-only, for sampling, the cores and moments()), checks its ψ0
@@ -47,7 +48,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import Union
 
 import numpy as np
 
@@ -55,8 +56,6 @@ from ._fanout import fanout
 from .bounds import _check, envelope
 from .extremal import ExtremalSpec, gaussian_from_extremal
 from .gaussian import (
-    DimensionlessOscillator,
-    FreeMass,
     GaussianState,
     PhysConfig,
     SystemModel,
@@ -111,14 +110,19 @@ class Grid:
     n: int
 
     def __post_init__(self) -> None:
-        if not 0 < self.x_max - self.x_min < math.inf:
-            raise ValueError(f"x_max - x_min must be > 0 and finite: [{self.x_min}, {self.x_max}]")
+        # The momenta span ±πħn/L: at ħ = 1 they must be finite too, which a
+        # width whose dx underflows or whose πn/L overflows cannot give.
+        if not (0 < self.length < math.inf and math.pi * self.n / self.length < math.inf):
+            raise ValueError(
+                "x_max - x_min must be > 0 and finite, with a finite pi*n/(x_max - x_min): "
+                f"[{self.x_min}, {self.x_max}]"
+            )
         if self.n < 2 or (self.n & (self.n - 1)) != 0:
             raise ValueError(f"n must be a power of two >= 2, got {self.n}")
 
     @classmethod
     def centered(cls, center: float, half_width: float, n: int) -> "Grid":
-        return cls(x_min=center - half_width, x_max=center + half_width, n=n)
+        return cls(center - half_width, center + half_width, n)
 
     @property
     def length(self) -> float:
@@ -213,7 +217,7 @@ def sample_gaussian(
             + (f"; n >= {n_min} on this domain)" if n_min else ")")
         )
     amps = _gaussian_amps(_axes(grid, hbar)[0], width, mean_x, mean_p, hbar)
-    psi = WaveFn(grid=grid, amps=amps, hbar=hbar)
+    psi = WaveFn(grid, amps, hbar)
     norm = quadrature_norm(psi)
     if abs(norm - 1.0) > 1e-8:
         raise GridError(f"sampled norm deviates from 1 by {abs(norm - 1.0):.3g}; refine the grid")
@@ -236,16 +240,17 @@ def moments(psi: WaveFn) -> Moments:
 
     vxp = Re⟨ψ|(X−⟨X⟩)(P̂−⟨P⟩)|ψ⟩ with P̂ applied through the FFT; the real
     part is automatically the symmetrized covariance. This is the one norm
-    check: a quadrature norm more than 1e−6 from 1 raises AliasingError (a
-    GridError), since either ψ is not normalized or, after a propagation,
-    its density reached the domain boundary.
+    check: a quadrature norm more than 1e−6 from 1, or NaN, raises
+    AliasingError (a GridError), since either ψ is not normalized or, after a
+    propagation, its density reached the domain boundary (or its amplitudes
+    are not finite).
     """
     grid, a, hbar = psi.grid, psi.amps, psi.hbar
     dx = grid.dx
     x, p = _axes(grid, hbar)
     dens = np.abs(a) ** 2
     norm = float(np.trapezoid(dens, dx=dx))
-    if abs(norm - 1.0) > 1e-6:
+    if not abs(norm - 1.0) <= 1e-6:  # a NaN norm fails too
         raise AliasingError(
             f"quadrature norm deviates from 1 by {abs(norm - 1.0):.3g}: psi is not "
             "normalized or its density reached the domain boundary"
@@ -270,8 +275,11 @@ def moments(psi: WaveFn) -> Moments:
     return Moments(norm=norm, mean_x=mean_x, mean_p=mean_p, vxx=vxx, vpp=vpp, vxp=vxp)
 
 
-def _check_input(psi: WaveFn, mw: Optional[float] = None) -> None:
-    """Is ψ's momentum support resolved, and with mω given, the chirped one?"""
+def _check_input(psi: WaveFn, mw: float | None = None, t: float = 0.0) -> None:
+    """Is t finite, ψ's momentum support resolved, and with mω given, the
+    chirped one? A non-finite t raises a ValueError naming it, as evolve does."""
+    if not math.isfinite(t):
+        raise ValueError(f"t must be finite, got {t}")
     mom = moments(psi)
     limit = math.pi * psi.hbar / (abs(mom.mean_p) + 6.0 * math.sqrt(mom.vpp))
     if not psi.grid.dx < limit:
@@ -338,12 +346,13 @@ def propagate_free(psi: WaveFn, m: float, t: float) -> WaveFn:
     """Free evolution: multiply exp(−i p² t/(2mħ)) in momentum space.
 
     Exact up to discretization and unitary (norm preserved to rounding).
-    Raises AliasingError when the momentum support is unresolved, or the
-    result's norm drifts or its 8σ window leaves the domain.
+    Raises a ValueError naming t if it is not finite, and AliasingError when
+    the momentum support is unresolved, or the result's norm drifts or its
+    8σ window leaves the domain.
     """
     if not m > 0:
         raise ValueError(f"m must be > 0, got {m}")
-    _check_input(psi)
+    _check_input(psi, None, t)
     return _checked(_free(WaveFn(psi.grid, np.fft.fft(psi.amps), psi.hbar), m, t))
 
 
@@ -355,7 +364,7 @@ def _chirp_kick_chirp(psi: WaveFn, chirp: np.ndarray, kick: np.ndarray, n_steps:
         a = np.fft.ifft(kick * np.fft.fft(a))
         if step < n_steps - 1:
             a = a * full
-    return WaveFn(grid=psi.grid, amps=a * chirp, hbar=psi.hbar)
+    return WaveFn(psi.grid, a * chirp, psi.hbar)
 
 
 def _exact(psi: WaveFn, m: float, omega: float, t: float) -> WaveFn:
@@ -380,27 +389,30 @@ def propagate_osc_exact(psi: WaveFn, m: float, omega: float, t: float) -> WaveFn
     space, then the same chirp. The propagator is 2π-periodic in θ up to a
     global phase too, so θ is reduced into [−π, π] and split into at most two
     equal sub-steps (⌈|θ|/(π/2)⌉) to keep tan off its pole at π; each costs
-    2 FFTs, whatever t. Raises AliasingError when the input, the chirped
-    intermediate, the result's norm or its 8σ window is not resolved by the
-    grid.
+    2 FFTs, whatever t. Raises a ValueError naming t if it is not finite, and
+    AliasingError when the input, the chirped intermediate, the result's norm
+    or its 8σ window is not resolved by the grid.
     """
     if not (m > 0 and omega > 0):
         raise ValueError(f"m and omega must be > 0, got m={m}, omega={omega}")
-    _check_input(psi, m * omega)
+    _check_input(psi, m * omega, t)
     return _checked(_exact(psi, m, omega, t))
 
 
 def _route(model: SystemModel, t: float):
     """(core, args): _propagate runs core(src, *args), src being ψ, or FFT(ψ)
-    for _free; core None returns src itself."""
-    if isinstance(model, FreeMass):
-        return _free, (model.m, t)
-    if isinstance(model, DimensionlessOscillator):
-        if model.omega == 0.0 or t == 0.0:
-            return None, ()
-        # i∂ψ/∂t = ½ω(−∂² + x²)ψ is an oscillator with m_eff = 1/ω, ω_eff = ω.
-        return _exact, (1.0 / model.omega, model.omega, t)
-    return _exact, (model.m, model.omega, t)
+    for _free. The model's (m, ω) picks the core: ω = 0 runs _free, any other
+    ω _exact; no pair (no flow over t) returns src itself. An mω that
+    overflows (1/ω at a subnormal ω) raises a ValueError naming ω."""
+    pair = model._pair(t)
+    if pair is None:
+        return None, ()
+    m, omega = pair
+    if not omega:
+        return _free, (m, t)
+    if not m * omega < math.inf:
+        raise ValueError(f"m*omega is not finite at omega = {omega}")
+    return _exact, (m, omega, t)
 
 
 def _propagate(src: WaveFn, model: SystemModel, t: float) -> WaveFn:
@@ -470,9 +482,9 @@ def verify_bounds_oracle(
     symplectic evolution of quvar.gaussian and (b) the envelope value of
     quvar.bounds the pure state must saturate. Any pure Gaussian works as a
     target: passing a GaussianState requires a saturated SR margin (a mixed
-    covariance has no single wavefunction). The arguments, the initial state
-    and (by one envelope and one x-row call) every t and phase ωt are checked
-    before any flow map, sampling or FFT. Then the grid's points and momenta
+    covariance has no single wavefunction). The arguments, the initial state,
+    (by one envelope and one x-row call) every t and phase ωt, and the route's
+    mω are checked before any flow map, sampling or FFT. Then the grid's points and momenta
     are built once, ψ0 is checked once, and each time costs one exact
     propagation and one moments(). The free route transforms ψ0 once and
     drops its amplitudes, so its propagation is one phase multiply and one
@@ -505,6 +517,8 @@ def verify_bounds_oracle(
     # The saturating state rides the lower side while sign·cxp ≥ 0.
     sides = spec.sign * model._x_row(ts[1:])[2] >= 0
     refs = np.where(sides, pair.lower[1:], pair.upper[1:]).tolist()
+    # Every t is >= 0 (envelope checked), so the latest runs a core if any does.
+    core, args = _route(model, max(times))
     # The domain must hold the state at every requested time: the drifting
     # mean ± domain_sigmas envelope σ. An overflow is reported, not warned about.
     with np.errstate(all="ignore"):
@@ -517,8 +531,6 @@ def verify_bounds_oracle(
         grid = Grid(x_min, x_max, n)
     src = sample_extremal(spec, mean_x, mean_p, grid, hbar)  # ψ0
     # Every time starts from ψ0: check it once, as the first propagator run would.
-    # Every t is >= 0 (envelope checked), so the latest runs one if any does.
-    core, args = _route(model, max(times))
     if core is not None:
         _check_input(src, args[0] * args[1] if core is _exact else None)
     if core is _free:  # transform ψ0 once, and let its amplitudes go
@@ -627,5 +639,5 @@ def slice_at_y(
     norm = float(np.trapezoid(np.abs(column) ** 2, dx=grid_x.dx))
     if norm <= 0.0:
         raise ValueError(f"slice at y index {y_index} has zero norm")
-    psi = WaveFn(grid=grid_x, amps=column / math.sqrt(norm), hbar=hbar)
+    psi = WaveFn(grid_x, column / math.sqrt(norm), hbar)
     return psi, float(grid_y.points()[y_index])

@@ -319,13 +319,16 @@ class OzawaConfig:
     def contraction_horizon(self) -> float:
         """Time the collapsed system stays at or below the meter's vxx."""
         vyy0, vpp_y0 = self.meter_variances
-        if isinstance(self.system, FreeMass):
+        # The (m, ω) of the model's flow over a unit time; None where it has none.
+        pair = self.system._pair(1.0)
+        if pair is None:
+            raise ConfigError("system", "auto schedule undefined for omega = 0")
+        m, omega = pair
+        if not omega:
             try:
-                return contraction_time_free(vyy0, vpp_y0, self.system.m, self.hbar)
+                return contraction_time_free(vyy0, vpp_y0, m, self.hbar)
             except ValueError as exc:  # t_M overflows
                 raise _meter_error(exc) from exc
-        if self.system.omega == 0.0:
-            raise ConfigError("system", "auto schedule undefined for omega = 0")
         # Rotation: the horizon is a phase of the quadratures x = √(s/ħ)·X. The
         # rescale may over- or underflow, so the message quotes the rescaled values.
         scale = self.system._scale
@@ -335,7 +338,7 @@ class OzawaConfig:
             phase = contraction_phase_osc(v_x, v_p)
         except (ValueError, ZeroDivisionError) as exc:
             raise ConfigError("meter_variances", f"in quadrature units, {exc}") from exc
-        return phase / self.system.omega
+        return phase / omega
 
     def period(self) -> float:
         """Measurement period T: the given T, or in auto mode τ + the horizon.
@@ -390,8 +393,8 @@ def check_regime(config: OzawaConfig) -> list[str]:
     The conditions δτ ≪ 1/k and k·τ = π/(3√3) and τ·max(Ω, ω_eff) ≪ 1 are
     checked with "≪" read as a factor of ten (threshold 0.1); the timing dose
     itself is held to 1e−9 relative, the one tolerance within which
-    run_protocol asserts the transfer identity. For a free mass the effective
-    system rate is ω_eff = σP/(m·σX) of the initial state.
+    run_protocol asserts the transfer identity. ω_eff is the ω of the model's
+    (m, ω); at ω = 0 (a free mass) it is σP/(m·σX) of the initial state.
     """
     warnings = []
     dose, rel = config.k * config.tau, _dose_error(config)
@@ -406,11 +409,10 @@ def check_regime(config: OzawaConfig) -> list[str]:
             f"timing jitter: delta_tau*k = {jitter:.3g} exceeds 0.1; "
             "the dose condition cannot be held"
         )
-    if isinstance(config.system, FreeMass):
-        s = config.initial_system
-        omega_eff = math.sqrt(s.vpp) / (config.system.m * math.sqrt(s.vxx))
-    else:
-        omega_eff = config.system.omega
+    # ω of the model's (m, ω), or σP/(m·σX) at ω = 0; no flow (no pair) has rate 0.
+    m, omega = config.system._pair(1.0) or (math.inf, 0.0)
+    s = config.initial_system
+    omega_eff = omega or math.sqrt(s.vpp) / (m * math.sqrt(s.vxx))
     drift = config.tau * max(config.Omega, omega_eff)
     if drift > 0.1:
         warnings.append(

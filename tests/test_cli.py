@@ -470,6 +470,9 @@ class TestOracle:
             # ⟨X⟩ + ⟨P⟩t/m overflows: it raised a RuntimeWarning from the flow map.
             (["--mean-p=1.7976931348623157e308", "--times=2.0"],
              "mean position is not finite at t = 2.0"),
+            # m = 1/ω overflows in the relabel: "oracle failed: ... (need nan)", exit 1.
+            (["--system=osc-dimless", "--omega=5e-324", "--n=1024"],
+             "m*omega is not finite at omega = 5e-324"),
         ],
     )
     def test_bad_numbers_exit_2_naming_them(self, capsys, argv, message):

@@ -3,7 +3,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from quvar import (
@@ -111,6 +111,38 @@ class TestOscillatorScale:
 
     def test_extreme_but_usable_scale_is_kept(self):
         assert Oscillator(m=1e150, omega=1e-10)._scale == 1e150 * 1e-10
+
+
+class TestHamiltonianPair:
+    @pytest.mark.parametrize(
+        "model, t, pair",
+        [
+            (FreeMass(m=1.7), 0.0, (1.7, 0.0)),
+            (FreeMass(m=math.inf), 0.5, (math.inf, 0.0)),
+            (Oscillator(m=1.5, omega=0.7), 0.0, (1.5, 0.7)),
+            (DimensionlessOscillator(omega=1.3), 0.5, (1.0 / 1.3, 1.3)),
+            (DimensionlessOscillator(omega=1.3), 0.0, None),
+            (DimensionlessOscillator(omega=0.0), 0.5, None),
+        ],
+    )
+    def test_each_model_gives_its_pair(self, model, t, pair):
+        assert model._pair(t) == pair
+
+    @given(models, st.floats(-10.0, 10.0))
+    def test_the_pair_generates_the_models_flow(self, model, t):
+        # H = P²/(2m) + ½mω²X² moves (x, p) by the shear (1, t/m) at ω = 0 and
+        # by the rotation [[c, s/(mω)], [−mω·s, c]] otherwise; no pair is no flow.
+        pair = model._pair(t)
+        if pair is None:
+            want = np.eye(2)
+        elif pair[1] == 0.0:
+            want = np.array([[1.0, t / pair[0]], [0.0, 1.0]])
+        else:
+            (m, omega), th = pair, pair[1] * t
+            mw = m * omega
+            assume(math.isfinite(mw))  # 1/ω overflows at a subnormal ω: gridsim's route refuses it
+            want = np.array([[math.cos(th), math.sin(th) / mw], [-mw * math.sin(th), math.cos(th)]])
+        np.testing.assert_allclose(flow_map(model, t), want, rtol=1e-12, atol=1e-12)
 
 
 class TestFlowMap:

@@ -1,7 +1,10 @@
+import ast
 import math
 import os
 import sys
 import threading
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -34,7 +37,7 @@ from quvar import (
     verify_bounds_oracle,
     wavefn_csv,
 )
-from quvar import _fanout, gridsim
+from quvar import _fanout, gaussian, gridsim
 from quvar.bounds import envelope
 from quvar.gridsim import OracleRow, WaveFn, _gaussian_amps, joint_moments, sample_joint, slice_at_y
 from split_step import propagate_osc
@@ -62,6 +65,23 @@ class TestGrid:
     def test_rejects_an_interval_of_no_finite_length(self, bounds):
         with pytest.raises(ValueError, match="> 0 and finite"):
             Grid(*bounds, 64)
+
+    @pytest.mark.parametrize("half", [5e-324, 1e-308])
+    def test_rejects_a_width_without_finite_momenta(self, half):
+        # dx = 2.5e-324 rounds to 0 (fftfreq divided by it), and π·4/2e-308
+        # overflows: the momenta were inf and NaN, with a RuntimeWarning.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError) as info:
+                Grid.centered(0.0, half, 4).momenta(1.0)
+        assert str(info.value) == (
+            "x_max - x_min must be > 0 and finite, with a finite pi*n/(x_max - x_min): "
+            f"[{-half}, {half}]"
+        )
+
+    def test_a_narrow_width_with_finite_momenta_is_kept(self):
+        p = Grid.centered(0.0, 1e-300, 2**16).momenta(1.0)
+        assert np.isfinite(p).all()
 
     def test_momentum_convention(self):
         g = Grid(-5.0, 5.0, 8)
@@ -139,6 +159,13 @@ class TestMoments:
         bad = type(psi)(grid=psi.grid, amps=psi.amps * 1.001, hbar=psi.hbar)
         with pytest.raises(GridError, match="norm"):
             moments(bad)
+
+    def test_a_nan_norm_fails_the_norm_check(self):
+        # abs(nan - 1) > 1e-6 is False: NaN amplitudes gave NaN moments.
+        grid = desk_grid(n=2**10)
+        with pytest.raises(AliasingError) as info:
+            moments(WaveFn(grid, np.full(grid.n, complex(math.nan, 0.0)), 1.0))
+        assert str(info.value).startswith("quadrature norm deviates from 1 by nan: ")
 
 
 NORM_DRIFT = (
@@ -256,6 +283,24 @@ class TestPropagateFree:
         with pytest.raises(ValueError) as info:
             propagate_free(psi, 0.0, 1.0)
         assert str(info.value) == "m must be > 0, got 0.0"
+
+
+@pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize(
+    "propagate",
+    [lambda psi, t: propagate_free(psi, 1.0, t), lambda psi, t: propagate_osc_exact(psi, 1.0, 1.0, t)],
+    ids=["free", "osc_exact"],
+)
+def test_a_non_finite_t_is_named_before_any_grid_work(monkeypatch, propagate, t):
+    # The free propagator returned NaN amplitudes (with a RuntimeWarning at
+    # ±inf); the oscillator's raised "math domain error" or a NaN-to-integer error.
+    psi = sample_extremal(CONTRACTIVE, 0.0, 0.0, desk_grid(n=2**10), 1.0)
+    monkeypatch.setattr(gridsim, "moments", lambda psi: pytest.fail("grid work ran"))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError) as info:
+            propagate(psi, t)
+    assert str(info.value) == f"t must be finite, got {t}"
 
 
 def _amplitudes(kind, seed, n):
@@ -495,11 +540,17 @@ class TestVerifyBoundsOracle:
         )
 
 
-# (model, ħ passed, times); n = 1024 throughout.
+# (model, ħ passed, times); n = 1024 throughout. At t = 0 the free mass and
+# the oscillator still run their propagators (ifft(fft(ψ)) is not ψ bit for
+# bit), where the dimensionless oscillator returns ψ0; an infinite mass takes
+# the free route.
 ORACLE_CASES = [
     (FreeMass(m=1.7), 0.8, [0.5, 1.2, 2.5]),
     (Oscillator(m=1.5, omega=0.7), 0.8, [0.5, 2.0, 3.5, 4.4]),
     (DimensionlessOscillator(omega=1.3), 0.8, [0.0, 0.3, 1.5, 3.0]),
+    (FreeMass(m=math.inf), 0.8, [0.0, 0.5]),
+    (FreeMass(m=1.7), 0.8, [0.0, 0.5]),
+    (Oscillator(m=1.5, omega=0.7), 0.8, [0.0, 0.5]),
 ]
 
 
@@ -651,6 +702,10 @@ class TestOracleArguments:
             (dict(times=[0.5, -1.0]), "t must be >= 0 and finite, got -1.0"),
             (dict(model=DimensionlessOscillator(omega=1e300), times=[0.5, 1e10]),
              "phase omega*t is not finite at t = 10000000000.0"),
+            # m = 1/ω overflows, so mω is inf and the chirp NaN: it failed an
+            # aliasing check with "(need nan)".
+            (dict(model=DimensionlessOscillator(omega=5e-324)),
+             "m*omega is not finite at omega = 5e-324"),
         ],
     )
     def test_rejected_before_any_grid_work(self, kwargs, message):
@@ -788,3 +843,25 @@ class TestJointMoments:
         np.testing.assert_allclose(got.mean, mean, rtol=0, atol=1e-15)
         np.testing.assert_allclose(got.cov, cov, rtol=0, atol=1e-15)
         assert np.array_equal(got.cov, got.cov.T)
+
+
+MODEL_CLASSES = ("FreeMass", "Oscillator", "DimensionlessOscillator", "_Rotation")
+
+
+def test_the_model_type_is_decided_in_gaussian_alone():
+    # gridsim routes by the model's (m, ω) pair: it holds no model class
+    # (SystemModel, the Union its signatures name, is not one).
+    classes = [getattr(gaussian, name) for name in MODEL_CLASSES]
+    assert not [name for name, v in vars(gridsim).items() if any(v is c for c in classes)]
+    # No isinstance or issubclass in the package names a model type or their Union.
+    model_types = {*MODEL_CLASSES, "SystemModel"}
+    found = []
+    for path in sorted(Path(gridsim.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                    and node.func.id in ("isinstance", "issubclass") and len(node.args) == 2):
+                names = {n.id for n in ast.walk(node.args[1]) if isinstance(n, ast.Name)}
+                names |= {n.attr for n in ast.walk(node.args[1]) if isinstance(n, ast.Attribute)}
+                if names & model_types:
+                    found.append(f"{path.name}:{node.lineno}")
+    assert found == []
