@@ -28,7 +28,7 @@ import json
 import math
 import os
 import sys
-from collections.abc import Iterable, Iterator
+from collections.abc import Callable, Iterable, Iterator
 from contextlib import closing
 
 import numpy as np
@@ -51,9 +51,11 @@ EXIT_VERIFY = 1
 EXIT_USAGE = 2
 EXIT_PIPE = 141  # 128 + SIGPIPE, what a shell reports for a process the signal killed
 
-# Table rows from which `quvar bounds` formats its CSV chunks in worker
-# processes (32 chunks). On a 2-vCPU VM, 32,769 rows ran 1.28-1.65x faster
-# with the second vCPU free, and no slower with both processes on one.
+# Table rows from which `quvar bounds` computes and formats its CSV chunks
+# in worker processes (32 chunks). On a 2-vCPU VM, serial over fanned-out
+# time in main (medians of 9 and 11 runs, free-mass and oscillator tables)
+# was 0.72-0.98 at 8,192 rows, 0.93-1.10 at 16,384, 1.10-1.24 at 32,768 and
+# 1.23-1.41 at 65,536.
 _FANOUT_ROWS = 32 * 1024
 
 
@@ -114,23 +116,17 @@ def _stdout_to_devnull() -> None:
     os.close(devnull)
 
 
-def _csv_chunks(header: str, row: str, blocks: list, rows: int) -> Iterator[str]:
-    """The header, then one %-formatted chunk per block of the table, a block
-    being its rows' column arrays: np.column_stack makes one block at a time
-    into rows, so the whole table is never stacked.
+def _csv_chunks(header: str, chunk: Callable[[int], str], starts: range) -> Iterator[str]:
+    """The header, then chunk(i) for each block start i in order, starts
+    being range(0, rows, block length).
 
-    A table of at least _FANOUT_ROWS rows formats its chunks in forked
-    workers (quvar._fanout, Linux): the same code on the same blocks, so the
-    same bytes, still written in order by this process, which holds its own
-    chunk and about one from each worker.
+    A table of at least _FANOUT_ROWS rows computes and formats its chunks in
+    forked workers (quvar._fanout, Linux): the same code on the same blocks,
+    so the same bytes, still written in order by this process, which holds
+    its own chunk and about one from each worker.
     """
-
-    def chunk(block) -> str:
-        table = np.column_stack(block)
-        return (row * len(table)) % tuple(table.ravel().tolist())
-
     yield header
-    yield from fanout(chunk, blocks, rows >= _FANOUT_ROWS)
+    yield from fanout(chunk, starts, starts.stop >= _FANOUT_ROWS)
 
 
 def _sign_value(sign: str) -> int:
@@ -167,27 +163,43 @@ def _time_grid(args) -> np.ndarray:
 
 
 def _cmd_bounds(args) -> int:
+    from . import _g17
+
     t = _time_grid(args)
     model = _model(args)
-    # One envelope() per 1024-row view of t, so no temporary spans the
-    # table; each block becomes one CSV chunk. Every block is validated
-    # here, before the first byte is written.
-    blocks = []
+    free = args.system == "free"
+
+    def block(i: int) -> list:
+        # The columns of rows i to i + 1023: one envelope() per 1024-row
+        # view of t, so no temporary spans the table.
+        pair = envelope(model, args.vxx0, args.vpp0, t[i : i + 1024], args.hbar)
+        cols = [pair.t, pair.lower, pair.upper]
+        return cols + [sql_reference(args.m, args.hbar, pair.t)] if free else cols
+
+    def chunk(i: int) -> str:
+        # Block i computed again: the same code on the same view of t, so the
+        # same doubles as validated. A block with a value that '%.17g' writes
+        # with an exponent (t = 0 among them) is left to %.
+        table = np.column_stack(block(i))
+        text = _g17.rows(table, "\n" if free else ",\n")
+        if text is None:
+            row = "%.17g,%.17g,%.17g," + ("%.17g\n" if free else "\n")
+            text = (row * len(table)) % tuple(table.ravel().tolist())
+        return text
+
+    # Every block is validated before the first byte is written; none is kept.
+    starts = range(0, len(t), 1024)
     try:
-        for i in range(0, len(t), 1024):
-            pair = envelope(model, args.vxx0, args.vpp0, t[i : i + 1024], args.hbar)
-            blocks.append([pair.t, pair.lower, pair.upper])
-            if args.system == "free":
-                blocks[-1].append(sql_reference(args.m, args.hbar, pair.t))
+        for i in starts:
+            block(i)
     except ValueError:
         # Name what one envelope() over all of t, then the sql line, would:
         # an envelope check that fails in any block (t, then the phase,
         # then the rows) comes before the first failing sql block.
         envelope(model, args.vxx0, args.vpp0, t, args.hbar)
         raise
-    row = "%.17g,%.17g,%.17g," + ("%.17g\n" if args.system == "free" else "\n")
     # Closed on every exit, a broken pipe included: that reaps the chunks' workers.
-    with closing(_csv_chunks("t,lower,upper,sql_line\n", row, blocks, len(t))) as chunks:
+    with closing(_csv_chunks("t,lower,upper,sql_line\n", chunk, starts)) as chunks:
         _write_output(chunks, args.output)
     return EXIT_OK
 

@@ -1,14 +1,19 @@
 import contextlib
 import io
 import math
+import os
 import re
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import quvar
 from quvar import (
     DimensionlessOscillator,
     ExtremalSpec,
@@ -28,6 +33,7 @@ from quvar import (
     sql_reference,
     validate_state,
 )
+from quvar import _g17
 from quvar.bounds import envelope, sqrt_uncertainty_excess
 from quvar.cli import main
 
@@ -476,12 +482,38 @@ class TestEnvelopeTableBitIdentity:
         assert main(_bounds_argv(*args)) == 0
         assert capsys.readouterr().out == _loop_table(*args)
 
+    @pytest.mark.parametrize("t_max, steps, paths", [
+        # Every t below 1e-4 prints with an exponent: every block is left to %.
+        (1e-6, 2000, {None}),
+        # t < 1e-4 in the first block only: % there, quvar._g17 in the others.
+        (3e-3, 10_000, {None, str}),
+    ], ids=["percent", "mixed"])
+    @pytest.mark.parametrize("system, m, omega, hbar", TABLE_SYSTEMS)
+    def test_blocks_left_to_the_percent_operator_equal_the_scalar_loop(
+        self, capsys, monkeypatch, system, m, omega, hbar, t_max, steps, paths
+    ):
+        seen = set()
+        rows = _g17.rows
+
+        def recorded(table, end):
+            text = rows(table, end)
+            seen.add(text if text is None else str)
+            return text
+
+        monkeypatch.setattr(_g17, "rows", recorded)
+        args = (system, m, omega, hbar, 0.37, 2.3, t_max, steps)
+        assert main(_bounds_argv(*args)) == 0
+        assert capsys.readouterr().out == _loop_table(*args)
+        assert seen == paths
+
     @pytest.mark.parametrize("system", ["free", "osc", "osc-dimless"])
     def test_table_peak_memory_holds_no_full_length_temporary(self, tmp_path, system):
         # tracemalloc peak of a 10**5-row table written to a file, measured on
         # Python 3.11.7 / numpy 2.4.6: 6.64 (free), 7.00 (osc) and 7.01 MiB
         # (osc-dimless) with one envelope() over every row and the table
-        # stacked whole; 3.67, 2.64 and 2.65 MiB with 1024-row blocks.
+        # stacked whole; 3.67, 2.64 and 2.65 MiB with every 1024-row block
+        # held until the write; 1.98, 1.55 and 1.56 MiB with each block
+        # computed where it is formatted.
         path = tmp_path / f"{system}.csv"
         tracemalloc.start()
         try:
@@ -490,7 +522,26 @@ class TestEnvelopeTableBitIdentity:
         finally:
             tracemalloc.stop()
         assert code == 0
-        assert peak <= 4.5 * 2**20, peak / 2**20
+        assert peak <= 2.5 * 2**20, peak / 2**20
+
+
+@pytest.mark.parametrize("argv, imported", [
+    (None, False),
+    (["extremal"], False),
+    (["bounds", "--steps", "2000"], True),
+])
+def test_only_quvar_bounds_imports_the_table_kernel(argv, imported):
+    # quvar._g17 is imported inside _cmd_bounds: the other commands, and the
+    # --help runs that time quvar's start-up, never compile it.
+    script = ("import contextlib, io, sys\nimport quvar.cli\n"
+              "if sys.argv[1:]:\n    with contextlib.redirect_stdout(io.StringIO()):\n"
+              "        quvar.cli.main(sys.argv[1:])\n"
+              "print('quvar._g17' in sys.modules)")
+    src = str(Path(quvar.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", script, *(argv or [])],
+                          env=env, capture_output=True, text=True)
+    assert (proc.stdout, proc.stderr) == (f"{imported}\n", "")
 
 
 class TestEnvelopeArrayBody:
