@@ -526,7 +526,7 @@ class TestEnvelopeTableBitIdentity:
 
 
 @pytest.mark.parametrize("argv, imported", [
-    (None, False),
+    ([], False),
     (["extremal"], False),
     (["bounds", "--steps", "2000"], True),
 ])
@@ -539,7 +539,7 @@ def test_only_quvar_bounds_imports_the_table_kernel(argv, imported):
               "print('quvar._g17' in sys.modules)")
     src = str(Path(quvar.__file__).resolve().parent.parent)
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    proc = subprocess.run([sys.executable, "-c", script, *(argv or [])],
+    proc = subprocess.run([sys.executable, "-c", script, *argv],
                           env=env, capture_output=True, text=True)
     assert (proc.stdout, proc.stderr) == (f"{imported}\n", "")
 
