@@ -1,17 +1,22 @@
 """The trace of a repeated-measurement run: its StepRecords, read from the
-flat rows quvar.ozawa.run_protocol writes, and its CSV.
+packed rows quvar.ozawa.run_protocol writes, and its CSV.
 
-run_protocol writes one row per round and this module reads them; the
-row layout is documented on ProtocolTrace. quvar.ozawa re-exports
-StepRecord and ProtocolTrace.
+run_protocol packs one ROW record per round into a bytearray and this
+module reads them; the record layout is documented on ProtocolTrace.
+quvar.ozawa re-exports StepRecord and ProtocolTrace.
 """
 
 from __future__ import annotations
 
+import struct
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 
 from .gaussian import GaussianState
+
+# One round: y_reading; mean_x, mean_p of the pre-measurement, posterior and
+# meter states; the index of its covariance step. Native and aligned, 64 B.
+ROW = struct.Struct("7dq")
 
 
 @dataclass(frozen=True)
@@ -27,33 +32,34 @@ class StepRecord:
 
 
 class ProtocolTrace(Sequence):
-    """The StepRecords of a protocol run, one per round, read from the rows
-    run_protocol writes: (y_reading, the round's covariance step, then
-    mean_x and mean_p of the pre-measurement, posterior and meter states).
-    A covariance step is one tuple for every round from the same
-    covariance, and it begins with those states' covariances, each
-    (vxx, vpp, vxp). Round i (from 1) is the i-th row, at time
-    (i - 1) * period. len() builds no record; any other access builds them
-    all, once. A trace compares equal, and hashes, as the tuple of records
-    it stands for; steps is the trace itself."""
+    """The StepRecords of a protocol run, one per round, read from the
+    records run_protocol packs into rows, one ROW per round: (y_reading,
+    then mean_x and mean_p of the pre-measurement, posterior and meter
+    states, then the index into steps of the round's covariance step).
+    steps holds each distinct covariance step once, in first-use order: a
+    tuple that begins with those states' covariances, each (vxx, vpp, vxp).
+    Round i (from 1) is the i-th record, at time (i - 1) * period. len()
+    builds no record; any other access builds them all, once. A trace
+    compares equal, and hashes, as the tuple of records it stands for;
+    steps is the trace itself."""
 
-    def __init__(self, rows: list, period: float):
-        self.rows, self.period, self.records = rows, period, None
+    def __init__(self, rows: bytearray, steps: list, period: float):
+        self.rows, self.covariance_steps, self.period, self.records = rows, steps, period, None
 
     @property
     def steps(self) -> ProtocolTrace:
         return self
 
     def __len__(self):
-        return len(self.rows)
+        return len(self.rows) // ROW.size
 
     def __getitem__(self, index):
         if self.records is None:
-            t = self.period
+            t, s = self.period, self.covariance_steps
             self.records = tuple(
-                StepRecord(i, (i - 1) * t, y, GaussianState(mx, mp, *s[0]),
-                           GaussianState(qx, qp, *s[1]), GaussianState(ux, up, *s[2]))
-                for i, (y, s, mx, mp, qx, qp, ux, up) in enumerate(self.rows, 1)
+                StepRecord(i, (i - 1) * t, y, GaussianState(mx, mp, *s[j][0]),
+                           GaussianState(qx, qp, *s[j][1]), GaussianState(ux, up, *s[j][2]))
+                for i, (y, mx, mp, qx, qp, ux, up, j) in enumerate(ROW.iter_unpack(self.rows), 1)
             )
         return self.records[index]
 
@@ -68,14 +74,12 @@ class ProtocolTrace(Sequence):
         then one row per measurement with floats at 17 significant digits.
         The seven covariance cells are formatted once per covariance step."""
         yield "i,t,y_reading,vxx_pre,vxp_pre,vpp_pre,vxx_post,vxp_post,vpp_post,vyy_meter\n"
-        t, cells = self.period, {}  # id(step) -> cells; the rows keep each step alive
-        for i, row in enumerate(self.rows, 1):
-            c = cells.get(id(row[1]))
-            if c is None:
-                pre, post, meter = row[1][:3]
-                c = cells[id(row[1])] = "%.17g,%.17g,%.17g,%.17g,%.17g,%.17g,%.17g" % (
-                    pre[0], pre[2], pre[1], post[0], post[2], post[1], meter[0])
-            yield f"{i},{(i - 1) * t:.17g},{row[0]:.17g},{c}\n"
+        t = self.period
+        cells = ["%.17g,%.17g,%.17g,%.17g,%.17g,%.17g,%.17g" % (
+            pre[0], pre[2], pre[1], post[0], post[2], post[1], meter[0])
+            for pre, post, meter, *_ in self.covariance_steps]
+        for i, (y, _, _, _, _, _, _, j) in enumerate(ROW.iter_unpack(self.rows), 1):
+            yield f"{i},{(i - 1) * t:.17g},{y:.17g},{cells[j]}\n"
 
     def to_csv(self) -> str:
         return "".join(self.csv_lines())

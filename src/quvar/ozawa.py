@@ -37,7 +37,7 @@ from typing import Optional
 
 import numpy as np
 
-from ._trace import ProtocolTrace, StepRecord
+from ._trace import ROW, ProtocolTrace, StepRecord
 from .bounds import contraction_phase_osc, contraction_time_free, sqrt_uncertainty_excess
 from .gaussian import (
     DimensionlessOscillator,
@@ -482,14 +482,16 @@ def run_protocol(config: OzawaConfig) -> ProtocolTrace:
     pre-measurement and posterior checks runs with the covariance step, and a
     round that reuses a step checks only that its means (and its reading) are
     finite. Any failure runs the full check at the same point of the round, so
-    every error keeps its message and its round. A posterior covariance that
-    the free flow overflows is named at the end of its round: ValueError
-    "round i: …". A mean that it overflows fails the next round's system
-    check, or after the last round ValueError "round N: posterior mean
-    overflows …". The loop runs under one np.errstate, so no numpy warning
-    escapes.
-    Each round appends one flat row that references its covariance step;
-    the row layout is documented on ProtocolTrace. The mean step's BLAS
+    every error keeps its message and its round. A ValueError raised in
+    round i reads "round i: " and then its message. A posterior covariance
+    that the free flow overflows is named at the end of its round. A mean
+    that it overflows fails the next round's system check, or after the
+    last round ValueError "round N: posterior mean overflows …". The loop
+    runs under one np.errstate, so no numpy warning escapes.
+    Each round appends one 64-byte record to a bytearray: its reading, the
+    pre-measurement, posterior and meter means, and the index of its
+    covariance step. The trace keeps each distinct step once, in first-use
+    order; the record layout is documented on ProtocolTrace. The mean step's BLAS
     dgemv writes into four vectors made once per run, as
     M @ np.array([...]) would, so the bits agree.
     The result is bit-identical to chaining couple → meter_marginal →
@@ -512,49 +514,54 @@ def run_protocol(config: OzawaConfig) -> ProtocolTrace:
     sample = config.mode == "sample"
     if sample:
         normals = np.random.default_rng(config.seed).standard_normal(config.N)
-    steps = {}  # exact bits of a pre-measurement covariance -> its covariance step
+    # exact bits of a pre-measurement covariance -> its covariance step, which
+    # ends with its index: the dict keeps the steps in first-use order.
+    steps = {}
     init = config.initial_system
     mx, mp, cov = init.mean_x, init.mean_p, (init.vxx, init.vpp, init.vxp)
-    rows = []
+    rows, pack = bytearray(), ROW.pack
     v4, w4 = np.array([0.0, 0.0, meter.mean_x, meter.mean_p]), np.empty(4)
     v2, w2 = np.empty(2), np.empty(2)
     # One np.errstate for the whole loop: an overflowing mean or covariance is
-    # named by the checks below, never warned about.
-    with np.errstate(all="ignore"):
-        for i in range(1, config.N + 1):
-            key = struct.pack("3d", *cov)  # unlike ==, the bits tell -0.0 from 0.0
-            step = steps.get(key)
-            # A stored covariance has passed this check: only the means can fail it.
-            if step is None or not math.isfinite(mx + mp):
-                _require_valid(GaussianState(mx, mp, *cov), config.hbar, "system")
-                step = steps[key] = step or _covariance_step(cov, meter, M, F, pconf)
-            _, post, (vyy, _, _), c02, c12, nxt, ok, sd, transfer_err = step
-            # The mean step: couple's, read_meter's and evolve's mean arithmetic.
-            v4[0], v4[1] = mx, mp
-            mean = M.dot(v4, out=w4).tolist()
-            reading = mean[2]
-            if sample:
-                reading += sd * normals.item(i - 1)
-            if not math.isfinite(reading):
-                raise ValueError(f"y_reading must be finite, got {reading}")
-            shift = reading - mean[2]
-            qx, qp = mean[0] + c02 * shift / vyy, mean[1] + c12 * shift / vyy
-            if timing_exact and transfer_err is not None:
-                raise RuntimeError(
-                    f"variance transfer violated at step {i}: "
-                    f"|vyy_meter - vxx_pre| = {transfer_err:.3g}"
-                )
-            rows.append((reading, step, mx, mp, qx, qp, mean[2], mean[3]))
-            if not (ok and math.isfinite(qx + qp)):
-                _require_valid(GaussianState(qx, qp, *post), config.hbar, "posterior")
-                if not ok:  # a valid posterior: the next covariance overflowed
-                    raise ValueError(
-                        f"round {i}: posterior covariance overflows over T - tau = {wait}"
+    # named by the checks below, never warned about. A round's ValueError
+    # gets the round's number in front of its message.
+    try:
+        with np.errstate(all="ignore"):
+            for i in range(1, config.N + 1):
+                key = struct.pack("3d", *cov)  # unlike ==, the bits tell -0.0 from 0.0
+                step = steps.get(key)
+                # A stored covariance has passed this check: only the means can fail it.
+                if step is None or not math.isfinite(mx + mp):
+                    _require_valid(GaussianState(mx, mp, *cov), config.hbar, "system")
+                    step = steps[key] = step or (
+                        *_covariance_step(cov, meter, M, F, pconf), len(steps))
+                _, post, (vyy, _, _), c02, c12, nxt, ok, sd, transfer_err, j = step
+                # The mean step: couple's, read_meter's and evolve's mean arithmetic.
+                v4[0], v4[1] = mx, mp
+                mean = M.dot(v4, out=w4).tolist()
+                reading = mean[2]
+                if sample:
+                    reading += sd * normals.item(i - 1)
+                if not math.isfinite(reading):
+                    raise ValueError(f"y_reading must be finite, got {reading}")
+                shift = reading - mean[2]
+                qx, qp = mean[0] + c02 * shift / vyy, mean[1] + c12 * shift / vyy
+                if timing_exact and transfer_err is not None:
+                    raise RuntimeError(
+                        f"variance transfer violated at step {i}: "
+                        f"|vyy_meter - vxx_pre| = {transfer_err:.3g}"
                     )
-            v2[0], v2[1] = qx, qp
-            mx, mp = F.dot(v2, out=w2).tolist()
-            cov = nxt
+                rows += pack(reading, mx, mp, qx, qp, mean[2], mean[3], j)
+                if not (ok and math.isfinite(qx + qp)):
+                    _require_valid(GaussianState(qx, qp, *post), config.hbar, "posterior")
+                    if not ok:  # a valid posterior: the next covariance overflowed
+                        raise ValueError(f"posterior covariance overflows over T - tau = {wait}")
+                v2[0], v2[1] = qx, qp
+                mx, mp = F.dot(v2, out=w2).tolist()
+                cov = nxt
+    except ValueError as exc:
+        raise type(exc)(f"round {i}: {exc}") from exc
     # A round's evolved mean is checked by the next round; the last round's here.
     if not (math.isfinite(mx) and math.isfinite(mp)):
         raise ValueError(f"round {config.N}: posterior mean overflows over T - tau = {wait}")
-    return ProtocolTrace(rows, period)
+    return ProtocolTrace(rows, list(steps.values()), period)

@@ -819,6 +819,19 @@ class TestOzawa:
         )
         assert "RuntimeWarning" not in err
 
+    def test_an_overflowing_posterior_mean_names_its_round(self, capsys, tmp_path):
+        # At k·tau × 0.9 the coupling stretches <x> a little every round: from
+        # <x> = 0.5 the posterior mean overflows in round 13,301 of 20,000.
+        raw = json.loads(open(REFERENCE_CONFIG).read())
+        raw.update(k=raw["k"] * 0.9, mode="mean", N=20_000)
+        path = tmp_path / "overflow.json"
+        path.write_text(json.dumps(raw))
+        code, out, err = run_cli(capsys, "ozawa", "--config", str(path))
+        assert (code, out) == (1, "")
+        assert err.endswith(
+            "protocol failed: round 13301: invalid posterior state: mean_x must be finite, got inf\n"
+        )
+
     def test_negative_seed_exits_2(self, capsys, tmp_path):
         raw = json.loads(open(REFERENCE_CONFIG).read())
         raw["seed"] = -1

@@ -784,9 +784,10 @@ class TestTraceRows:
 
 
 def test_run_protocol_peak_memory():
-    # The rows hold floats and a reference to their round's covariance step:
-    # 10^4 rounds peak at ~2.45 MiB, where rows that also held the round's
-    # index and time peaked at ~3.1 MiB, and a StepRecord and three
+    # Each round is one packed 64-byte record: 10^4 rounds peak at ~0.67 MiB
+    # (0.61 MiB of records), where a tuple of seven floats and a reference to
+    # the round's covariance step peaked at ~2.45 MiB, tuples that also held
+    # the round's index and time at ~3.1 MiB, and a StepRecord and three
     # GaussianStates per round at ~6.5 MiB (Python 3.11). The short first run
     # imports numpy.random (~0.6 MiB) outside the traced span.
     cfg = OzawaConfig.from_dict(dict(json.loads(REFERENCE_CONFIG.read_text()), N=10_000))
@@ -798,7 +799,40 @@ def test_run_protocol_peak_memory():
     finally:
         tracemalloc.stop()
     assert len(trace.steps) == cfg.N
-    assert peak <= 3 * 2**20
+    assert peak <= 1.25 * 2**20
+
+
+def record_bits(record):
+    """A StepRecord's fields as bytes: unlike ==, they tell -0.0 from 0.0."""
+    index, time, y, *states = dataclasses.astuple(record)
+    return struct.pack("q17d", index, time, y, *(v for state in states for v in state))
+
+
+# The reference config with k·tau at a tenth of the transfer dose never
+# settles its covariance: 1,000 rounds visit 395 distinct covariance steps.
+OFF_DOSE_RAW = dict(json.loads(REFERENCE_CONFIG.read_text()), N=1000)
+OFF_DOSE_RAW["k"] *= 0.1
+PACKING_CASES = {
+    "free": base_config(N=200, **SYSTEMS["free"]),
+    "osc": base_config(N=200, **SYSTEMS["osc"]),
+    "off-dose": OzawaConfig.from_dict(OFF_DOSE_RAW),
+    "signed-zero means": base_config(N=200, **dict(
+        SYSTEMS["free"], initial_system=contractive(0.8, 1.5, mean_x=-0.0, mean_p=-0.0))),
+}
+
+
+@pytest.mark.parametrize("mode", ["mean", "sample"])
+@pytest.mark.parametrize("case", sorted(PACKING_CASES))
+def test_packed_rows_give_the_public_call_loops_records_bit_for_bit(case, mode):
+    cfg = dataclasses.replace(PACKING_CASES[case], mode=mode)
+    got, want = run_protocol(cfg), reference_trace(cfg)
+    assert len(got) == len(want) == cfg.N
+    assert [record_bits(r) for r in got] == [record_bits(r) for r in want]
+    assert got.to_csv() == reference_csv(want)
+    if case == "off-dose":  # step indices past one byte
+        assert len(got.covariance_steps) == 395
+    if case == "signed-zero means":
+        assert math.copysign(1.0, got[0].pre.mean_x) == math.copysign(1.0, got[0].pre.mean_p) == -1.0
 
 
 def spy_covariance_step(monkeypatch):
@@ -974,10 +1008,11 @@ def test_an_overflowing_mean_fails_as_in_the_public_call_loop(case, mode):
     got, want = first_error(run_protocol, cfg), first_error(reference_trace, cfg)
     assert got[0] == want[0] == round_
     if case == "reading":
-        assert got[1] == want[1] == "y_reading must be finite, got inf"
+        assert want[1] == "y_reading must be finite, got inf"
+        assert got[1] == f"round {round_}: {want[1]}"
     else:  # evolve, where the public call loop checks the posterior, names no state
         assert want[1] == "mean_x must be finite, got inf"
-        assert got[1] == f"invalid posterior state: {want[1]}"
+        assert got[1] == f"round {round_}: invalid posterior state: {want[1]}"
 
 
 def free_flow_overflow_config(n):
@@ -999,7 +1034,7 @@ def test_a_mean_the_free_flow_overflows_fails_the_next_rounds_system_check():
     for n in (132, 300):
         with pytest.raises(ValueError) as err:
             run_protocol(dataclasses.replace(cfg, N=n))
-        assert str(err.value) == "invalid system state: mean_p must be finite, got -inf"
+        assert str(err.value) == "round 132: invalid system state: mean_p must be finite, got -inf"
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
