@@ -33,15 +33,16 @@ class StepRecord:
 
 class ProtocolTrace(Sequence):
     """The StepRecords of a protocol run, one per round, read from the
-    records run_protocol packs into rows, one ROW per round: (y_reading,
-    then mean_x and mean_p of the pre-measurement, posterior and meter
-    states, then the index into steps of the round's covariance step).
-    steps holds each distinct covariance step once, in first-use order: a
-    tuple that begins with those states' covariances, each (vxx, vpp, vxp).
-    Round i (from 1) is the i-th record, at time (i - 1) * period. len()
-    builds no record; any other access builds them all, once. A trace
-    compares equal, and hashes, as the tuple of records it stands for;
-    steps is the trace itself."""
+    bytearray rows that run_protocol packs one ROW per round into:
+    (y_reading, then mean_x and mean_p of the pre-measurement, posterior
+    and meter states, then the index of the round's covariance step). The
+    constructor's steps, kept as covariance_steps, lists each distinct
+    covariance step once, in first-use order: a tuple that begins with
+    those states' covariances, each (vxx, vpp, vxp). Round i (from 1) is the
+    i-th record, at time (i - 1) * period. len() builds no record; any other
+    access builds them all, once. A trace compares equal, and hashes, as
+    the tuple of records it stands for; the steps property is the trace
+    itself."""
 
     def __init__(self, rows: bytearray, steps: list, period: float):
         self.rows, self.covariance_steps, self.period, self.records = rows, steps, period, None
