@@ -1,9 +1,9 @@
 """The trace of a repeated-measurement run: its StepRecords, read from the
 packed rows quvar.ozawa.run_protocol writes, and its CSV.
 
-run_protocol packs one ROW record per round into a bytearray and this
-module reads them; the record layout is documented on ProtocolTrace.
-quvar.ozawa re-exports StepRecord and ProtocolTrace.
+run_protocol writes one ROW per round and this module reads them; the
+layout is documented on ProtocolTrace. quvar.ozawa re-exports
+StepRecord and ProtocolTrace.
 """
 
 from __future__ import annotations
@@ -14,9 +14,7 @@ from dataclasses import dataclass
 
 from .gaussian import GaussianState
 
-# One round: y_reading; mean_x, mean_p of the pre-measurement, posterior and
-# meter states; the index of its covariance step. Native and aligned, 64 B.
-ROW = struct.Struct("7dq")
+ROW = struct.Struct("7dq")  # native and aligned: 64 B
 
 
 @dataclass(frozen=True)
@@ -33,16 +31,14 @@ class StepRecord:
 
 class ProtocolTrace(Sequence):
     """The StepRecords of a protocol run, one per round, read from the
-    bytearray rows that run_protocol packs one ROW per round into:
-    (y_reading, then mean_x and mean_p of the pre-measurement, posterior
-    and meter states, then the index of the round's covariance step). The
-    constructor's steps, kept as covariance_steps, lists each distinct
-    covariance step once, in first-use order: a tuple that begins with
-    those states' covariances, each (vxx, vpp, vxp). Round i (from 1) is the
-    i-th record, at time (i - 1) * period. len() builds no record; any other
-    access builds them all, once. A trace compares equal, and hashes, as
-    the tuple of records it stands for; the steps property is the trace
-    itself."""
+    bytearray rows, one ROW per round: (y_reading, mean_x and mean_p of the
+    pre-measurement, posterior and meter states, the index of the round's
+    covariance step in covariance_steps). Those are the distinct steps in
+    first-use order, each a tuple that begins with the three states'
+    covariances (vxx, vpp, vxp). Round i (from 1) is the i-th record, at
+    time (i - 1) * period. len() builds no record; any other access builds
+    them all, once. A trace compares equal, and hashes, as the tuple of
+    records it stands for; the steps property is the trace itself."""
 
     def __init__(self, rows: bytearray, steps: list, period: float):
         self.rows, self.covariance_steps, self.period, self.records = rows, steps, period, None

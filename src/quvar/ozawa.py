@@ -488,10 +488,8 @@ def run_protocol(config: OzawaConfig) -> ProtocolTrace:
     that it overflows fails the next round's system check, or after the
     last round ValueError "round N: posterior mean overflows …". The loop
     runs under one np.errstate, so no numpy warning escapes.
-    Each round appends one 64-byte record to a bytearray: its reading, the
-    pre-measurement, posterior and meter means, and the index of its
-    covariance step. The trace keeps each distinct step once, in first-use
-    order; the record layout is documented on ProtocolTrace. The mean step's BLAS
+    Each round appends one 64-byte record, laid out as ProtocolTrace
+    documents, to a bytearray. The mean step's BLAS
     dgemv writes into four vectors made once per run, as
     M @ np.array([...]) would, so the bits agree.
     The result is bit-identical to chaining couple → meter_marginal →
@@ -514,17 +512,14 @@ def run_protocol(config: OzawaConfig) -> ProtocolTrace:
     sample = config.mode == "sample"
     if sample:
         normals = np.random.default_rng(config.seed).standard_normal(config.N)
-    # exact bits of a pre-measurement covariance -> its covariance step, which
-    # ends with its index: the dict keeps the steps in first-use order.
-    steps = {}
+    steps = {}  # exact bits of a covariance -> (*its covariance step, its index)
     init = config.initial_system
     mx, mp, cov = init.mean_x, init.mean_p, (init.vxx, init.vpp, init.vxp)
     rows, pack = bytearray(), ROW.pack
     v4, w4 = np.array([0.0, 0.0, meter.mean_x, meter.mean_p]), np.empty(4)
     v2, w2 = np.empty(2), np.empty(2)
     # One np.errstate for the whole loop: an overflowing mean or covariance is
-    # named by the checks below, never warned about. A round's ValueError
-    # gets the round's number in front of its message.
+    # named by the checks below, never warned about.
     try:
         with np.errstate(all="ignore"):
             for i in range(1, config.N + 1):

@@ -808,8 +808,9 @@ def record_bits(record):
     return struct.pack("q17d", index, time, y, *(v for state in states for v in state))
 
 
-# The reference config with k·tau at a tenth of the transfer dose never
-# settles its covariance: 1,000 rounds visit 395 distinct covariance steps.
+# The reference config with k·tau at a tenth of the transfer dose settles
+# its covariance slowly: 1,000 rounds visit 395 distinct covariance steps,
+# so the records' step index runs past one byte.
 OFF_DOSE_RAW = dict(json.loads(REFERENCE_CONFIG.read_text()), N=1000)
 OFF_DOSE_RAW["k"] *= 0.1
 PACKING_CASES = {
@@ -829,7 +830,7 @@ def test_packed_rows_give_the_public_call_loops_records_bit_for_bit(case, mode):
     assert len(got) == len(want) == cfg.N
     assert [record_bits(r) for r in got] == [record_bits(r) for r in want]
     assert got.to_csv() == reference_csv(want)
-    if case == "off-dose":  # step indices past one byte
+    if case == "off-dose":
         assert len(got.covariance_steps) == 395
     if case == "signed-zero means":
         assert math.copysign(1.0, got[0].pre.mean_x) == math.copysign(1.0, got[0].pre.mean_p) == -1.0
